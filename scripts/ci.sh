@@ -62,8 +62,10 @@ else
 fi
 
 echo "==> sanitized: TKMC_SANITIZE=thread (threaded backend smoke)"
+# The checkpoint suites ride along: the shared epoch-restore routine and
+# the durable-file writers run under the streamer and rank threads.
 TKMC_SANITIZE=thread scripts/run_sanitized.sh \
-  "threaded_engine|sim_comm|fault_injection|flight_recorder|telemetry|remote_store|retry"
+  "threaded_engine|sim_comm|fault_injection|flight_recorder|telemetry|remote_store|retry|test_checkpoint|delta_checkpoint|rank_failure"
 
 echo "==> sanitized: trap/detrap deck on the TSan-built CLI"
 TSAN_BIN=build-sanitized/thread/tools/tensorkmc

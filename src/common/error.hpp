@@ -14,7 +14,8 @@ class Error : public std::runtime_error {
 
 /// Filesystem and serialization failures: missing files, bad magic or
 /// version, truncated bodies, CRC mismatches. Usually recoverable by
-/// degrading to a backup replica (see loadCheckpointWithFallback()).
+/// falling back to an older checkpoint epoch (see
+/// CheckpointStore::newestCompleteEpoch()).
 class IoError : public Error {
  public:
   explicit IoError(const std::string& what) : Error(what) {}

@@ -209,8 +209,6 @@ const std::vector<FaultPointInfo>& faultPointCatalog() {
       {"catalog.rate_nan",
        "EventCatalog::evaluateChecked(): corrupts one evaluated propensity "
        "to NaN"},
-      {"checkpoint.corrupt_write",
-       "serial saveCheckpoint(): flips a byte in the checkpoint body"},
       {"checkpoint.shard_corrupt_write",
        "CheckpointStore::stageShard(): rots a staged shard's bits after "
        "its CRC is recorded"},
@@ -233,8 +231,8 @@ const std::vector<FaultPointInfo>& faultPointCatalog() {
        "RemoteShardStore::put(): writes only half the object (a "
        "half-streamed remote epoch)"},
       {"telemetry.write_tear",
-       "telemetry writeFileAtomic(): crashes after a partial temp-file "
-       "write, before the rename"},
+       "telemetry writeJson() via writeFileAtomic(): crashes after a "
+       "partial temp-file write, before the rename"},
   };
   return kCatalog;
 }

@@ -3,9 +3,9 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "common/crc32.hpp"
+#include "common/durable_file.hpp"
 #include "common/error.hpp"
 
 namespace tkmc::telemetry {
@@ -156,21 +156,10 @@ void FlightRecorder::writeDump(const std::string& path, int rank,
   const std::uint32_t crc = crc32(eventBytes, eventByteCount);
   // Same crash-safety idiom as checkpoint commits: a torn dump must
   // never shadow a complete one under the final name.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    require(out.good(), "cannot open blackbox dump path: " + tmp);
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    out.write(reinterpret_cast<const char*>(eventBytes),
-              static_cast<std::streamsize>(eventByteCount));
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    require(out.good(), "failed writing blackbox dump: " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw IoError("cannot publish blackbox dump " + path + ": " +
-                  ec.message());
+  std::string bytes(reinterpret_cast<const char*>(&header), sizeof(header));
+  bytes.append(reinterpret_cast<const char*>(eventBytes), eventByteCount);
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  writeFileAtomic(path, bytes);
 }
 
 int FlightRecorder::dumpAll() const noexcept {
@@ -218,10 +207,7 @@ void FlightRecorder::reset() {
 }
 
 FlightRecorder::Dump FlightRecorder::readDump(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) throw IoError("cannot open blackbox dump: " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::string bytes = readFile(path);
   if (bytes.size() < sizeof(DumpHeader) + sizeof(std::uint32_t))
     throw IoError("blackbox dump truncated: " + path);
   DumpHeader header;

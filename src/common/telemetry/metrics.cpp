@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "common/durable_file.hpp"
 #include "common/error.hpp"
 #include "common/telemetry/json.hpp"
 
@@ -206,7 +206,8 @@ std::string MetricsRegistry::toJson() const {
 }
 
 void MetricsRegistry::writeJson(const std::string& path) const {
-  writeFileAtomic(path, toJson());
+  // Crash-safe: a tear mid-dump never replaces the previous snapshot.
+  tkmc::writeFileAtomic(path, toJson() + "\n", "telemetry.write_tear");
 }
 
 void MetricsRegistry::reset() {

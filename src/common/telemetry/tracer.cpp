@@ -1,9 +1,9 @@
 #include "common/telemetry/tracer.hpp"
 
-#include <fstream>
 #include <map>
 #include <sstream>
 
+#include "common/durable_file.hpp"
 #include "common/error.hpp"
 #include "common/telemetry/json.hpp"
 
@@ -150,7 +150,8 @@ std::string Tracer::toJson() const {
 }
 
 void Tracer::writeJson(const std::string& path) const {
-  writeFileAtomic(path, toJson());
+  // Crash-safe: a tear mid-dump never replaces the previous snapshot.
+  tkmc::writeFileAtomic(path, toJson() + "\n", "telemetry.write_tear");
 }
 
 void Tracer::reset() {

@@ -140,13 +140,9 @@ void InputDeck::apply(const std::string& key, const std::string& value) {
   } else if (key == "dump_interval") {
     dumpInterval_ = static_cast<std::uint64_t>(parseInt(key, value));
     require(dumpInterval_ > 0, "input deck: dump_interval > 0");
-  } else if (key == "checkpoint_write") {
-    checkpointWrite_ = value;
   } else if (key == "checkpoint_interval") {
     checkpointInterval_ = static_cast<std::uint64_t>(parseInt(key, value));
     require(checkpointInterval_ > 0, "input deck: checkpoint_interval > 0");
-  } else if (key == "checkpoint_read") {
-    checkpointRead_ = value;
   } else if (key == "mode") {
     if (value == "serial") {
       parallelMode_ = false;

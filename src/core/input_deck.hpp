@@ -47,9 +47,8 @@ namespace tkmc {
 ///   report_interval <int>       events between progress reports (1000)
 ///   dump_xyz <path>             trajectory output (off)
 ///   dump_interval <int>         events between dump frames (1000)
-///   checkpoint_write <path>     periodic checkpoint output (off)
-///   checkpoint_interval <int>   events between checkpoints (10000)
-///   checkpoint_read <path>      resume from a checkpoint (off)
+///   checkpoint_interval <int>   serial mode: events between checkpoint
+///                               epochs in checkpoint_dir (10000)
 ///   mode serial|parallel        engine selection (serial)
 ///   rank_grid <x,y,z>           parallel rank decomposition (2,2,2);
 ///                               single-rank axes are legal (flat grids)
@@ -58,8 +57,10 @@ namespace tkmc {
 ///                               sequential in-process driver; same
 ///                               trajectory bit-for-bit (off)
 ///   recovery on|off             parallel rollback/replay (on)
-///   checkpoint_dir <path>       coordinated sharded checkpoints (off)
-///   checkpoint_cadence <int>    cycles per checkpoint epoch (1)
+///   checkpoint_dir <path>       checkpoint epochs (off); a serial run
+///                               writes 1-rank epochs, a parallel run
+///                               one shard per rank
+///   checkpoint_cadence <int>    parallel mode: cycles per epoch (1)
 ///   checkpoint_mode full|delta  full epochs, or dirty-page deltas with
 ///                               periodic consolidation (full)
 ///   max_delta_chain <int>       delta links per chain before a
@@ -77,10 +78,10 @@ namespace tkmc {
 ///                               before commits throttle (8)
 ///   remote_retries <int>        put attempts per remote object before
 ///                               the epoch is given up (5)
-///   resume on|off               resume from the newest complete epoch
-///                               in checkpoint_dir, healing from
-///                               remote_dir when shards are missing
-///                               locally (off)
+///   resume on|off               resume (either mode) from the newest
+///                               complete epoch in checkpoint_dir,
+///                               healing from remote_dir when shards are
+///                               missing locally (off)
 class InputDeck {
  public:
   /// Parses a deck from a stream. Throws tkmc::Error on malformed lines,
@@ -99,11 +100,10 @@ class InputDeck {
   std::uint64_t reportInterval() const { return reportInterval_; }
   const std::string& dumpPath() const { return dumpPath_; }
   std::uint64_t dumpInterval() const { return dumpInterval_; }
-  const std::string& checkpointWritePath() const { return checkpointWrite_; }
   std::uint64_t checkpointInterval() const { return checkpointInterval_; }
-  const std::string& checkpointReadPath() const { return checkpointRead_; }
 
-  // Parallel-engine settings (mode parallel).
+  // Parallel-engine settings (mode parallel); checkpointDir(), resume()
+  // and remoteDir() drive serial checkpoints and resume too.
   bool parallelMode() const { return parallelMode_; }
   Vec3i rankGrid() const { return rankGrid_; }
   bool threaded() const { return threaded_; }
@@ -138,9 +138,7 @@ class InputDeck {
   std::uint64_t reportInterval_ = 1000;
   std::string dumpPath_;
   std::uint64_t dumpInterval_ = 1000;
-  std::string checkpointWrite_;
   std::uint64_t checkpointInterval_ = 10000;
-  std::string checkpointRead_;
   bool parallelMode_ = false;
   Vec3i rankGrid_{2, 2, 2};
   bool threaded_ = false;

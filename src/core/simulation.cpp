@@ -104,9 +104,6 @@ std::uint64_t Simulation::run(double tEnd, std::uint64_t maxSteps) {
           "vacancy conservation violated during run: expected " +
           std::to_string(expectedVacancies) + ", counted " +
           std::to_string(state_->vacancies().size()));
-    if (config_.checkpointInterval > 0 && !config_.checkpointPath.empty() &&
-        executed % config_.checkpointInterval == 0)
-      writeCheckpoint(config_.checkpointPath);
   }
   return executed;
 }
@@ -138,25 +135,6 @@ void Simulation::publishMemoryTelemetry() const {
   tm::metrics()
       .gauge("lattice.bytes_per_site")
       .set(state_->store().bytesPerSite());
-}
-
-void Simulation::writeCheckpoint(const std::string& path) const {
-  saveCheckpoint(path, *state_, *engine_);
-}
-
-void Simulation::restoreCheckpoint(const CheckpointData& data) {
-  require(data.cellsX == config_.cells && data.cellsY == config_.cells &&
-              data.cellsZ == config_.cells &&
-              data.latticeConstant == config_.latticeConstant,
-          "checkpoint box does not match the configured simulation");
-  *state_ = data.restoreState();
-  engine_->restore(data.engine);
-}
-
-bool Simulation::restoreCheckpointFromFile(const std::string& path) {
-  const CheckpointLoadResult result = loadCheckpointWithFallback(path);
-  restoreCheckpoint(result.data);
-  return result.usedBackup;
 }
 
 }  // namespace tkmc

@@ -7,7 +7,6 @@
 #include "analysis/cluster_analysis.hpp"
 #include "common/memory_tracker.hpp"
 #include "eam/eam_potential.hpp"
-#include "kmc/checkpoint.hpp"
 #include "kmc/serial_engine.hpp"
 #include "nnp/network.hpp"
 #include "tabulation/cet.hpp"
@@ -54,14 +53,11 @@ struct SimulationConfig {
   // hardcoded physics bit-for-bit.
   EventCatalogSpec eventCatalog;
 
-  // Fault tolerance. When checkpointInterval > 0 and checkpointPath is
-  // set, run() writes a restartable checkpoint every that many events
-  // (atomic v2 format, previous file rotated to .bak). When
-  // invariantCadence > 0, run() verifies vacancy conservation every that
-  // many events and throws InvariantError on violation instead of
-  // silently continuing with corrupt state.
-  std::string checkpointPath;
-  std::uint64_t checkpointInterval = 0;
+  // Fault tolerance. When invariantCadence > 0, run() verifies vacancy
+  // conservation every that many events and throws InvariantError on
+  // violation instead of silently continuing with corrupt state.
+  // (Checkpoints: commitSerialEpoch / restoreSerialEpoch in
+  // parallel/coordinated_checkpoint.hpp.)
   std::uint64_t invariantCadence = 0;
 };
 
@@ -83,6 +79,8 @@ class Simulation {
   std::uint64_t steps() const;
   const LatticeState& state() const;
   SerialEngine& engine();
+  /// Mutable lattice state (restoring a checkpoint overwrites it).
+  LatticeState& mutableState() { return *state_; }
 
   /// Energy backend of this run (parallel drivers reuse it to build a
   /// ParallelEngine over the same physics).
@@ -111,18 +109,6 @@ class Simulation {
   /// Trains (or loads) the NNP for a configuration; exposed so examples
   /// and benches can reuse the exact pipeline.
   static Network buildPotential(const SimulationConfig& config);
-
-  /// Writes a restartable checkpoint of the current state and engine.
-  void writeCheckpoint(const std::string& path) const;
-
-  /// Restores a checkpoint written for the same box geometry; the
-  /// trajectory continues bit-exactly from the saved point.
-  void restoreCheckpoint(const CheckpointData& data);
-
-  /// Restores from a checkpoint file, degrading gracefully to
-  /// `<path>.bak` when the primary replica is missing or corrupt.
-  /// Returns true when the backup served the load.
-  bool restoreCheckpointFromFile(const std::string& path);
 
  private:
   SimulationConfig config_;

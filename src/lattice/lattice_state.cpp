@@ -44,6 +44,27 @@ void LatticeState::hopVacancy(Vec3i from, Vec3i to) {
   *it = lattice_.wrap(to);
 }
 
+void LatticeState::setVacancyOrder(const std::vector<Vec3i>& order) {
+  const auto disagree = [] {
+    return InvariantError("vacancy order disagrees with the occupation");
+  };
+  if (order.size() != vacancies_.size()) throw disagree();
+  std::vector<SiteId> want, have;
+  want.reserve(order.size());
+  have.reserve(order.size());
+  for (const Vec3i& v : order) {
+    if (!lattice_.isLatticeSite(lattice_.wrap(v))) throw disagree();
+    want.push_back(lattice_.siteId(v));
+  }
+  for (const Vec3i& v : vacancies_) have.push_back(lattice_.siteId(v));
+  std::vector<SiteId> sortedWant = want;
+  std::sort(sortedWant.begin(), sortedWant.end());
+  std::sort(have.begin(), have.end());
+  if (sortedWant != have) throw disagree();
+  for (std::size_t i = 0; i < want.size(); ++i)
+    vacancies_[i] = lattice_.coordinate(want[i]);
+}
+
 bool LatticeState::operator==(const LatticeState& other) const {
   return lattice_.cellsX() == other.lattice_.cellsX() &&
          lattice_.cellsY() == other.lattice_.cellsY() &&

@@ -46,6 +46,12 @@ class LatticeState {
   /// Vacancy coordinates in creation order.
   const std::vector<Vec3i>& vacancies() const { return vacancies_; }
 
+  /// Replaces the vacancy list with `order`, which must name every
+  /// vacant site exactly once. Engines address vacancies by list index,
+  /// so a bit-exact resume restores the recorded order. Throws
+  /// InvariantError when `order` disagrees with the occupation.
+  void setVacancyOrder(const std::vector<Vec3i>& order);
+
   /// Number of sites holding a given species. O(1): the store maintains
   /// per-species counts incrementally.
   std::int64_t countSpecies(Species s) const { return store_.count(s); }

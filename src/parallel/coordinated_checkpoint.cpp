@@ -9,10 +9,11 @@
 #include <map>
 
 #include "common/crc32.hpp"
+#include "common/durable_file.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/telemetry/telemetry.hpp"
-#include "kmc/checkpoint.hpp"
+#include "kmc/serial_engine.hpp"
 #include "lattice/species_store.hpp"
 #include "parallel/remote_store.hpp"
 
@@ -23,54 +24,8 @@ namespace fs = std::filesystem;
 
 constexpr const char* kManifestName = "manifest.tkm";
 
-std::string readFileOrThrow(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw IoError("cannot open checkpoint file: " + path);
-  std::string contents;
-  char buffer[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
-    contents.append(buffer, got);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) throw IoError("failed reading checkpoint file: " + path);
-  return contents;
-}
-
-/// Verifies the trailing "crc32 <hex>" footer and returns the body it
-/// seals (newline after the body included in the CRC, matching the
-/// serial checkpoint convention). `crcOut`, when given, receives the
-/// verified body CRC (the delta-chain link value).
-std::string verifiedBody(const std::string& contents, const std::string& path,
-                         std::uint32_t* crcOut = nullptr) {
-  const std::string::size_type foot = contents.rfind("\ncrc32 ");
-  if (foot == std::string::npos)
-    throw IoError("missing CRC32 footer (truncated?): " + path);
-  const std::string body = contents.substr(0, foot + 1);
-  unsigned stored = 0;
-  if (std::sscanf(contents.c_str() + foot + 1, "crc32 %8x", &stored) != 1)
-    throw IoError("CRC32 footer unreadable: " + path);
-  const std::uint32_t computed = crc32(body.data(), body.size());
-  if (computed != stored) {
-    char detail[64];
-    std::snprintf(detail, sizeof(detail), "(stored %08x, computed %08x)",
-                  stored, computed);
-    throw IoError("failed CRC32 check " + std::string(detail) + ": " + path);
-  }
-  if (crcOut != nullptr) *crcOut = computed;
-  return body;
-}
-
-std::string sealWithCrc(std::string body) {
-  char line[32];
-  std::snprintf(line, sizeof(line), "crc32 %08x\n",
-                crc32(body.data(), body.size()));
-  return body + line;
-}
-
 /// CET-packed hex of a one-byte-per-site species run: four 2-bit codes
-/// per byte, 80 hex digits per line (same layout as the v3 checkpoint
-/// body).
+/// per byte, low slots first, 80 hex digits per line.
 void appendPackedHex(std::string& out, const std::vector<std::uint8_t>& run) {
   static const char* kHex = "0123456789abcdef";
   std::uint8_t packed = 0;
@@ -393,14 +348,8 @@ bool CheckpointStore::tryHealFromRemote(std::uint64_t epoch) const {
     fs::remove_all(stage, ec);
     fs::create_directories(stage, ec);
     if (ec) return false;
-    for (const auto& [name, contents] : files) {
-      std::FILE* f = std::fopen((stage + "/" + name).c_str(), "wb");
-      if (f == nullptr) return false;
-      const bool ok =
-          std::fwrite(contents.data(), 1, contents.size(), f) ==
-          contents.size();
-      if (std::fclose(f) != 0 || !ok) return false;
-    }
+    for (const auto& [name, contents] : files)
+      writeFileAtomic(stage + "/" + name, contents);
     fs::remove_all(epochPath(epoch), ec);
     fs::rename(stage, epochPath(epoch), ec);
     if (ec) return false;
@@ -506,7 +455,7 @@ EpochManifest CheckpointStore::loadManifestLocal(std::uint64_t epoch) const {
   const std::string path = epochPath(epoch) + "/" + kManifestName;
   std::uint32_t selfCrc = 0;
   const std::string body =
-      verifiedBody(readFileOrThrow(path), path, &selfCrc);
+      verifiedBody(readFile(path), path, &selfCrc);
   std::istringstream in(body);
   std::string magic;
   int version = 0;
@@ -580,7 +529,7 @@ EpochManifest CheckpointStore::loadManifestLocal(std::uint64_t epoch) const {
 ShardRecord CheckpointStore::loadShard(
     std::uint64_t epoch, const EpochManifest::ShardEntry& entry) const {
   const std::string path = epochPath(epoch) + "/" + entry.file;
-  const std::string contents = readFileOrThrow(path);
+  const std::string contents = readFile(path);
   if (entry.bytes != contents.size())
     throw IoError("shard size mismatch (manifest says " +
                   std::to_string(entry.bytes) + ", file has " +
@@ -770,18 +719,13 @@ int CheckpointStore::gcStaleArtifacts() {
   return removed;
 }
 
-int CheckpointStore::gcSupersededDeltas(std::uint64_t fullEpoch) {
+int CheckpointStore::gcSuperseded(std::uint64_t full,
+                                  std::optional<std::uint64_t> previousFull) {
+  if (!previousFull) return 0;
   int removed = 0;
   std::error_code ec;
   for (const std::uint64_t epoch : epochs()) {
-    if (epoch >= fullEpoch) continue;
-    bool isDelta = false;
-    try {
-      isDelta = loadManifest(epoch).isDelta();
-    } catch (const std::exception&) {
-      continue;  // torn epoch — startup GC's job, not consolidation's
-    }
-    if (!isDelta) continue;
+    if (epoch >= full || epoch == *previousFull) continue;
     fs::remove_all(epochPath(epoch), ec);
     if (!ec) ++removed;
   }
@@ -808,6 +752,71 @@ LatticeState CheckpointStore::reassemble(const EpochManifest& manifest,
           }
   }
   return state;
+}
+
+std::uint64_t commitSerialEpoch(CheckpointStore& store,
+                                const LatticeState& state,
+                                const SerialEngine& engine,
+                                std::uint64_t seed,
+                                std::optional<std::uint64_t> previousFull) {
+  const BccLattice& lattice = state.lattice();
+  const SerialEngine::Checkpoint cp = engine.checkpoint();
+  ShardRecord shard;
+  shard.extentCells = {lattice.cellsX(), lattice.cellsY(), lattice.cellsZ()};
+  shard.rngState = cp.rngState;
+  shard.vacancyOrder = state.vacancies();
+  // Site-id order is the reassemble() traversal of a box-covering shard
+  // at the origin (cells x-fastest, sublattice innermost).
+  shard.species.reserve(shard.siteCount());
+  state.forEachSite([&](BccLattice::SiteId, Species s) {
+    shard.species.push_back(static_cast<std::uint8_t>(s));
+  });
+
+  EpochManifest manifest;
+  manifest.epoch = cp.steps;
+  manifest.rankGrid = {1, 1, 1};
+  manifest.globalCells = shard.extentCells;
+  manifest.latticeConstant = lattice.latticeConstant();
+  manifest.time = cp.time;
+  manifest.events = cp.steps;
+  manifest.seed = seed;
+  manifest.catalog = engine.catalog().name();
+  store.beginEpoch(manifest.epoch);
+  try {
+    manifest.shards.push_back(store.stageShard(manifest.epoch, shard));
+    store.commitEpoch(manifest);
+  } catch (...) {
+    store.abortEpoch(manifest.epoch);
+    throw;
+  }
+  store.gcSuperseded(manifest.epoch, previousFull);
+  return manifest.epoch;
+}
+
+void restoreSerialEpoch(const CheckpointStore& store, std::uint64_t epoch,
+                        LatticeState& state, SerialEngine& engine) {
+  const EpochManifest manifest = store.loadManifest(epoch);
+  require(manifest.rankGrid == Vec3i{1, 1, 1} && manifest.shards.size() == 1,
+          "checkpoint epoch " + std::to_string(epoch) +
+              " is not a serial (1x1x1, one shard) epoch");
+  const BccLattice& lattice = state.lattice();
+  require(manifest.globalCells ==
+                  Vec3i{lattice.cellsX(), lattice.cellsY(), lattice.cellsZ()} &&
+              manifest.latticeConstant == lattice.latticeConstant(),
+          "checkpoint box does not match the configured simulation");
+  require(manifest.catalog == engine.catalog().name(),
+          "checkpoint event catalog '" + manifest.catalog +
+              "' does not match the engine's '" +
+              std::string(engine.catalog().name()) + "'");
+  const std::vector<ShardRecord> shards = store.resolveShards(epoch);
+  const ShardRecord& shard = shards.front();
+  require(shard.originCells == Vec3i{} &&
+              shard.extentCells == manifest.globalCells,
+          "serial checkpoint shard does not cover the box");
+  LatticeState restored = CheckpointStore::reassemble(manifest, shards);
+  restored.setVacancyOrder(shard.vacancyOrder);
+  state = std::move(restored);
+  engine.restore({manifest.time, manifest.events, shard.rngState});
 }
 
 }  // namespace tkmc

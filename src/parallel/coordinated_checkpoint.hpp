@@ -13,6 +13,7 @@
 
 namespace tkmc {
 class RemoteShardStore;
+class SerialEngine;
 }
 
 namespace tkmc {
@@ -240,12 +241,18 @@ class CheckpointStore {
   /// removed.
   int gcStaleArtifacts();
 
-  /// Consolidation GC: removes committed *delta* epochs older than
-  /// `fullEpoch`. Once a fresh full epoch is committed, every older
-  /// delta resolves to an older restart point through a chain the new
-  /// full supersedes; full epochs are kept as self-contained fallbacks.
-  /// Returns the number of epochs removed.
-  int gcSupersededDeltas(std::uint64_t fullEpoch);
+  /// Bounded retention, run after full epoch `full` commits: removes
+  /// every committed epoch older than `full` except `previousFull`, the
+  /// full epoch before it, which stays as the fallback restart point.
+  /// So a store holds at most two full epochs plus the delta chain
+  /// growing off the newest. Epochs are classified by number alone —
+  /// the caller knows which epochs it committed full — so the cost does
+  /// not grow with the number of kept epochs. Without a known previous
+  /// full (the first full epoch after construction, resume or
+  /// recovery) nothing is removed. Epochs newer than `full` are never
+  /// touched. Returns the number of epochs removed.
+  int gcSuperseded(std::uint64_t full,
+                   std::optional<std::uint64_t> previousFull);
 
  private:
   bool epochComplete(std::uint64_t epoch) const;
@@ -267,5 +274,29 @@ class CheckpointStore {
   std::shared_ptr<RemoteShardStore> remote_;
   mutable std::atomic<std::uint64_t> remoteHeals_{0};
 };
+
+/// A serial run checkpoints as the 1-rank case of a coordinated epoch:
+/// rank grid 1x1x1 and one full shard covering the box, holding the
+/// occupation, the engine's RNG state and its vacancy order. The
+/// manifest records time, steps (as `events`; also the epoch number),
+/// `seed` and the event catalog; `cycles` and `tStop` are 0.
+///
+/// Commits epoch `engine.steps()` of `state` (the lattice `engine` runs
+/// on), then applies gcSuperseded() with `previousFull`: the epoch this
+/// run last committed or resumed from. Returns the committed epoch.
+std::uint64_t commitSerialEpoch(CheckpointStore& store,
+                                const LatticeState& state,
+                                const SerialEngine& engine,
+                                std::uint64_t seed,
+                                std::optional<std::uint64_t> previousFull);
+
+/// Restores `state` and `engine` (an engine running on `state`) from
+/// serial epoch `epoch`; the trajectory continues bit-exactly. Throws
+/// Error when the epoch is not a 1x1x1 single-shard epoch or its box or
+/// catalog differ from `state`'s and `engine`'s, InvariantError when its
+/// vacancy order disagrees with its occupation, and IoError when it does
+/// not load.
+void restoreSerialEpoch(const CheckpointStore& store, std::uint64_t epoch,
+                        LatticeState& state, SerialEngine& engine);
 
 }  // namespace tkmc

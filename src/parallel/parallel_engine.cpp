@@ -102,41 +102,15 @@ ParallelEngine::ParallelEngine(EnergyModel& model, const Cet& cet,
   config_.seed = manifest.seed;
   // resolveShards materializes a delta epoch by replaying its base
   // chain; for a full epoch it degenerates to loadShards.
-  const std::vector<ShardRecord> shards = store.resolveShards(epoch);
-  const LatticeState restored = CheckpointStore::reassemble(manifest, shards);
-  lattice_ = restored.lattice();
-  buildFabric(restored);
-  if (config_.rankGrid == manifest.rankGrid) {
-    // Same-grid resume: the shards carry each rank's exact RNG stream
-    // state and vacancy list order, so the original trajectory continues
-    // bit-exactly.
-    rngs_.assign(static_cast<std::size_t>(rankCount()), Rng(0));
-    for (const ShardRecord& shard : shards) {
-      require(shard.rank >= 0 && shard.rank < rankCount(),
-              "shard rank outside the manifest grid");
-      rngs_[static_cast<std::size_t>(shard.rank)].setState(shard.rngState);
-      domains_[static_cast<std::size_t>(shard.rank)].vacancies() =
-          shard.vacancyOrder;
-    }
-  } else {
-    // Different (shrunken) grid: streams are reseeded by the same pure
-    // function the in-engine shrink recovery uses, so both reach the
-    // same post-recovery trajectory.
-    Rng master(recoverySeed(manifest.seed, manifest.epoch, config_.rankGrid));
-    for (int r = 0; r < rankCount(); ++r) rngs_.push_back(master.split());
-  }
-  expectedVacancies_ = vacancyCount();
-  time_ = manifest.time;
-  cycles_ = manifest.cycles;
-  events_ = manifest.events;
-  discarded_ = manifest.discarded;
+  restoreEpoch(manifest, store.resolveShards(epoch));
   if (!config_.checkpointDir.empty()) {
     store_ = std::make_unique<CheckpointStore>(config_.checkpointDir);
     store_->setMaxDeltaChain(config_.maxDeltaChain);
     setupRemote();
     store_->gcStaleArtifacts();
     // A resumed engine has no baseline: its first epoch is full, which
-    // also caps any pre-resume delta chain.
+    // also caps any pre-resume delta chain, and retention keeps the
+    // pre-resume epochs until that full epoch has a successor.
   }
 }
 
@@ -775,8 +749,10 @@ void ParallelEngine::writeEpoch(bool barrier) {
       baseline_.chainDepth = delta ? baseline_.chainDepth + 1 : 0;
       baseline_.rankGrid = fabric_->decomp.rankGrid();
       baseline_.pageHashes = std::move(newHashes);
-      if (!delta && config_.checkpointMode == CheckpointMode::kDelta)
-        store_->gcSupersededDeltas(epoch);
+      if (!delta) {
+        store_->gcSuperseded(epoch, baseline_.lastFull);
+        baseline_.lastFull = epoch;
+      }
       afterCommit(epoch);
     };
     if (!barrier) {
@@ -911,6 +887,39 @@ void ParallelEngine::restoreSnapshot() {
   fabric_->comm.resetAllChannels();
 }
 
+void ParallelEngine::restoreEpoch(const EpochManifest& manifest,
+                                  const std::vector<ShardRecord>& shards) {
+  const LatticeState restored = CheckpointStore::reassemble(manifest, shards);
+  lattice_ = restored.lattice();
+  rngs_.clear();
+  buildFabric(restored);
+  if (config_.rankGrid == manifest.rankGrid) {
+    // Same grid: the shards carry each rank's exact RNG stream state and
+    // vacancy list order, so the original trajectory continues
+    // bit-exactly.
+    rngs_.assign(static_cast<std::size_t>(rankCount()), Rng(0));
+    for (const ShardRecord& shard : shards) {
+      require(shard.rank >= 0 && shard.rank < rankCount(),
+              "shard rank outside the manifest grid");
+      rngs_[static_cast<std::size_t>(shard.rank)].setState(shard.rngState);
+      domains_[static_cast<std::size_t>(shard.rank)].vacancies() =
+          shard.vacancyOrder;
+    }
+  } else {
+    // A different grid: the dead rank's stream is gone and the survivor
+    // streams cannot be remapped, so all streams are reseeded by the
+    // pure function a fresh resume onto this grid uses too.
+    Rng master(recoverySeed(manifest.seed, manifest.epoch, config_.rankGrid));
+    for (int r = 0; r < rankCount(); ++r) rngs_.push_back(master.split());
+  }
+  time_ = manifest.time;
+  cycles_ = manifest.cycles;
+  events_ = manifest.events;
+  discarded_ = manifest.discarded;
+  // The restored world diffs against nothing: its next epoch is full.
+  baseline_ = DeltaBaseline{};
+}
+
 void ParallelEngine::recoverFromRankFailure(const RankFailure& failure) {
   namespace tm = telemetry;
   Stopwatch watch;
@@ -928,9 +937,7 @@ void ParallelEngine::recoverFromRankFailure(const RankFailure& failure) {
                       std::string(failure.what()) +
                           " (no complete checkpoint epoch to recover from)");
   }
-  const EpochManifest manifest = std::move(resolved.manifest);
-  const std::vector<ShardRecord> shards = std::move(resolved.shards);
-  const LatticeState restored = CheckpointStore::reassemble(manifest, shards);
+  const EpochManifest& manifest = resolved.manifest;
   const std::uint64_t rolledBack = cycles_ - manifest.cycles;
   recovery_.epochsRolledBack += rolledBack;
   lastRecoveryEpoch_ = manifest.epoch;
@@ -944,32 +951,11 @@ void ParallelEngine::recoverFromRankFailure(const RankFailure& failure) {
              survivors);
   sparePool_ -= admitted;
   if (admitted > 0) ++recovery_.growRecoveries;
-  rngs_.clear();
-  buildFabric(restored);
-  if (config_.rankGrid == manifest.rankGrid) {
-    // The epoch's own grid (grow recovery, or a failure detected after
-    // an earlier recovery already reshaped the world to this epoch's
-    // grid): the shards carry each rank's exact RNG stream state and
-    // vacancy order, so the continuation is bit-identical to a fresh
-    // same-grid resume — and, at cadence 1, to the uninterrupted run.
-    rngs_.assign(static_cast<std::size_t>(rankCount()), Rng(0));
-    for (const ShardRecord& shard : shards) {
-      require(shard.rank >= 0 && shard.rank < rankCount(),
-              "shard rank outside the manifest grid");
-      rngs_[static_cast<std::size_t>(shard.rank)].setState(shard.rngState);
-      domains_[static_cast<std::size_t>(shard.rank)].vacancies() =
-          shard.vacancyOrder;
-    }
-  } else {
-    Rng master(recoverySeed(manifest.seed, manifest.epoch, config_.rankGrid));
-    for (int r = 0; r < rankCount(); ++r) rngs_.push_back(master.split());
-  }
-  time_ = manifest.time;
-  cycles_ = manifest.cycles;
-  events_ = manifest.events;
-  discarded_ = manifest.discarded;
-  // The recovered world diffs against nothing: its next epoch is full.
-  baseline_ = DeltaBaseline{};
+  // On the epoch's own grid (grow recovery, or a failure detected after
+  // an earlier recovery already reshaped the world to this grid) the
+  // continuation is bit-identical to a fresh same-grid resume — and, at
+  // cadence 1, to the uninterrupted run.
+  restoreEpoch(manifest, resolved.shards);
   takeSnapshot();
   tm::flightRecorder().record(0, tm::BlackboxEventType::kRecovery,
                               admitted > 0 ? 1 : 0, manifest.epoch,

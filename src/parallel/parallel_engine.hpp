@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -257,6 +258,9 @@ class ParallelEngine {
     std::uint64_t epoch = 0;
     std::uint32_t manifestCrc = 0;  // chain pin for the next delta child
     int chainDepth = 0;          // delta links since the last full epoch
+    // The newest full epoch this timeline committed: the fallback that
+    // retention keeps when the next full epoch commits.
+    std::optional<std::uint64_t> lastFull;
     Vec3i rankGrid{};
     std::vector<std::vector<std::uint32_t>> pageHashes;  // per rank
   };
@@ -313,6 +317,13 @@ class ParallelEngine {
       int rank, int from, int tag, const std::vector<std::uint8_t>& resend,
       std::atomic<std::uint64_t>& retryCounter, const char* what);
   void recoverFromRankFailure(const RankFailure& failure);
+  /// Installs a resolved epoch on config_.rankGrid — the one restore
+  /// sequence shared by the resume constructor and rank-failure
+  /// recovery: reassemble, rebuild the fabric, restore the shard RNG
+  /// streams and vacancy orders on the epoch's own grid (recoverySeed
+  /// reseed on any other), then the clocks. The next epoch is full.
+  void restoreEpoch(const EpochManifest& manifest,
+                    const std::vector<ShardRecord>& shards);
   Vec3i localCell(int rank, Vec3i wrappedCoord) const;
   bool inSector(int rank, Vec3i wrappedCoord, int sector) const;
 

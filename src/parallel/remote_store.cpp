@@ -4,10 +4,10 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "common/crc32.hpp"
+#include "common/durable_file.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/telemetry/telemetry.hpp"
@@ -18,29 +18,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string readFileOrThrow(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("remote store: cannot open " + path);
-  std::ostringstream body;
-  body << in.rdbuf();
-  if (!in.good() && !in.eof())
-    throw IoError("remote store: read failed for " + path);
-  return body.str();
-}
-
 std::string crcHex(std::uint32_t crc) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%08x", crc);
   return buf;
-}
-
-// The same footer convention as shards/manifests: "\ncrc32 <hex>\n"
-// sealing everything before it (including that newline).
-std::string sealWithCrc(std::string body) {
-  body.push_back('\n');
-  const std::uint32_t crc = crc32(body.data(), body.size());
-  body += "crc32 " + crcHex(crc) + "\n";
-  return body;
 }
 
 void countRemote(const char* name, std::uint64_t n = 1) {
@@ -72,26 +53,10 @@ void DirRemoteStore::put(const std::string& epochDir, const std::string& file,
   if (ec)
     throw IoError("remote store: cannot create " + dir.string() + ": " +
                   ec.message());
-  // Own temp+rename (no .bak rotation): re-streaming an epoch after a
-  // rollback/replay overwrites the object in place, keeping the remote
-  // tree a verbatim mirror of the local epoch directory.
-  const fs::path target = dir / file;
-  const fs::path tmp = dir / (file + ".tmp");
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw IoError("remote store: cannot write " + tmp.string());
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    out.flush();
-    if (!out.good()) {
-      fs::remove(tmp, ec);
-      throw IoError("remote store: write failed for " + tmp.string());
-    }
-  }
-  fs::rename(tmp, target, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    throw IoError("remote store: rename failed for " + target.string());
-  }
+  // Re-streaming an epoch after a rollback/replay overwrites the object
+  // in place, keeping the remote tree a verbatim mirror of the local
+  // epoch directory.
+  writeFileAtomic((dir / file).string(), body);
 }
 
 std::string DirRemoteStore::get(const std::string& epochDir,
@@ -99,7 +64,7 @@ std::string DirRemoteStore::get(const std::string& epochDir,
   if (faultFires("remote.get_fail"))
     throw IoError("remote store: injected get failure for " + epochDir + "/" +
                   file);
-  return readFileOrThrow((fs::path(root_) / epochDir / file).string());
+  return readFile((fs::path(root_) / epochDir / file).string());
 }
 
 std::vector<std::string> DirRemoteStore::listEpochs() const {
@@ -141,26 +106,12 @@ std::string encodePlacement(const PlacementMap& map) {
   for (const PlacementMap::Row& row : map.rows)
     body << row.file << " " << crcHex(row.crc) << " " << row.bytes << " "
          << row.location << "\n";
-  std::string sealed = body.str();
-  // sealWithCrc appends its own trailing newline before the footer.
-  sealed.pop_back();
-  return sealWithCrc(std::move(sealed));
+  return sealWithCrc(body.str());
 }
 
 PlacementMap parsePlacement(const std::string& contents,
                             const std::string& what) {
-  const std::string::size_type footer = contents.rfind("\ncrc32 ");
-  if (footer == std::string::npos)
-    throw IoError("placement map " + what + ": missing crc32 footer");
-  const std::string::size_type bodyLen = footer + 1;  // include the newline
-  const std::uint32_t actual = crc32(contents.data(), bodyLen);
-  const std::string recorded =
-      contents.substr(footer + 7, contents.find('\n', footer + 7) - footer - 7);
-  if (recorded != crcHex(actual))
-    throw IoError("placement map " + what + ": crc mismatch (stored " +
-                  recorded + ", computed " + crcHex(actual) + ")");
-
-  std::istringstream in(contents.substr(0, bodyLen));
+  std::istringstream in(verifiedBody(contents, "placement map " + what));
   std::string magic;
   int version = 0;
   in >> magic >> version;
@@ -345,7 +296,7 @@ bool ShardStreamer::streamEpoch(std::uint64_t epoch) {
   for (std::size_t i = 0; i < order.size(); ++i) {
     std::string contents;
     try {
-      contents = readFileOrThrow((local / order[i]).string());
+      contents = readFile((local / order[i]).string());
     } catch (const IoError&) {
       return true;  // epoch vanished mid-copy (GC); drop it quietly
     }

@@ -1,28 +1,35 @@
-#include "kmc/checkpoint.hpp"
+// Serial checkpoints: a serial run checkpoints as the 1-rank case of a
+// coordinated epoch (rank grid 1x1x1, one box-covering shard) and
+// resumes from one through the same CheckpointStore validation and
+// older-epoch fallback that parallel runs use.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 
+#include "common/durable_file.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
+#include "core/simulation.hpp"
 #include "kmc/eam_energy_model.hpp"
+#include "parallel/coordinated_checkpoint.hpp"
 
 namespace tkmc {
 namespace {
 
 constexpr double kCutoff = 4.0;
 
-std::string tempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+std::string tempDir(const char* name) {
+  const auto dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  return dir.string();
 }
 
 struct World {
   explicit World(std::uint64_t seed)
       : cet(2.87, kCutoff), net(cet), eam(kCutoff),
-        lattice(12, 12, 12, 2.87), state(lattice) {
+        lattice(12, 12, 12, 2.87), state(lattice), model(cet, net, eam) {
     Rng rng(seed);
     state.randomAlloy(0.12, 3, rng);
   }
@@ -32,388 +39,275 @@ struct World {
   EamPotential eam;
   BccLattice lattice;
   LatticeState state;
+  EamEnergyModel model;
 };
 
-KmcConfig config(std::uint64_t seed) {
+KmcConfig config(std::uint64_t seed, bool useCache = true) {
   KmcConfig cfg;
   cfg.seed = seed;
   cfg.tEnd = 1e300;
+  cfg.useVacancyCache = useCache;
   return cfg;
 }
 
-TEST(Checkpoint, RoundTripPreservesEverything) {
-  World w(1);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(5));
-  for (int i = 0; i < 37; ++i) engine.step();
-
-  const std::string path = tempPath("tkmc_checkpoint_roundtrip.chk");
-  saveCheckpoint(path, w.state, engine);
-  const CheckpointData data = loadCheckpoint(path);
-  EXPECT_EQ(data.cellsX, 12);
-  EXPECT_DOUBLE_EQ(data.latticeConstant, 2.87);
-  EXPECT_DOUBLE_EQ(data.engine.time, engine.time());
-  EXPECT_EQ(data.engine.steps, 37u);
-  const LatticeState restored = data.restoreState();
-  EXPECT_TRUE(restored == w.state);
-  EXPECT_EQ(restored.contentHash(), w.state.contentHash());
-  EXPECT_EQ(restored.vacancies(), w.state.vacancies());
-  std::remove(path.c_str());
+SimulationConfig eamConfig(std::uint64_t seed) {
+  SimulationConfig cfg;
+  cfg.cells = 12;
+  cfg.cutoff = kCutoff;
+  cfg.potential = SimulationConfig::Potential::kEam;
+  cfg.vacancyCount = 3;
+  cfg.seed = seed;
+  return cfg;
 }
 
-TEST(Checkpoint, ResumedTrajectoryIsBitExact) {
-  // Reference: one engine runs 60 steps straight through.
-  World ref(2);
-  EamEnergyModel refModel(ref.cet, ref.net, ref.eam);
-  SerialEngine refEngine(ref.state, refModel, ref.cet, config(9));
-  for (int i = 0; i < 30; ++i) refEngine.step();
+/// Recommits epoch `from` as epoch `to` after `mutate` edits its manifest
+/// and shards: a forged epoch that passes every format and CRC check, so
+/// only restoreSerialEpoch's semantic checks can reject it.
+void recommit(
+    CheckpointStore& store, std::uint64_t from, std::uint64_t to,
+    const std::function<void(EpochManifest&, std::vector<ShardRecord>&)>&
+        mutate) {
+  EpochManifest manifest = store.loadManifest(from);
+  std::vector<ShardRecord> shards = store.resolveShards(from);
+  mutate(manifest, shards);
+  manifest.epoch = to;
+  manifest.shards.clear();
+  store.beginEpoch(to);
+  for (const ShardRecord& shard : shards)
+    manifest.shards.push_back(store.stageShard(to, shard));
+  store.commitEpoch(manifest);
+}
 
-  // Checkpoint at step 30 and keep going to 60.
-  const std::string path = tempPath("tkmc_checkpoint_resume.chk");
-  saveCheckpoint(path, ref.state, refEngine);
+void truncateToHalf(const std::string& path) {
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+}
+
+TEST(SerialCheckpoint, RoundTripPreservesEverything) {
+  World w(1);
+  SerialEngine engine(w.state, w.model, w.cet, config(5));
+  for (int i = 0; i < 37; ++i) engine.step();
+
+  CheckpointStore store(tempDir("tkmc_serial_roundtrip"));
+  EXPECT_EQ(commitSerialEpoch(store, w.state, engine, 5, std::nullopt), 37u);
+  EXPECT_EQ(store.epochs(), (std::vector<std::uint64_t>{37}));
+  EXPECT_FALSE(std::filesystem::exists(store.stagePath(37)));
+  ASSERT_EQ(store.newestCompleteEpoch(), std::uint64_t{37});
+
+  const EpochManifest manifest = store.loadManifest(37);
+  EXPECT_EQ(manifest.rankGrid, (Vec3i{1, 1, 1}));
+  EXPECT_EQ(manifest.globalCells, (Vec3i{12, 12, 12}));
+  EXPECT_DOUBLE_EQ(manifest.latticeConstant, 2.87);
+  EXPECT_EQ(manifest.time, engine.time());
+  EXPECT_EQ(manifest.events, 37u);
+  EXPECT_EQ(manifest.seed, 5u);
+  EXPECT_EQ(manifest.catalog, "vacancy_hop");
+  EXPECT_FALSE(manifest.isDelta());
+  ASSERT_EQ(manifest.shards.size(), 1u);
+
+  World other(99);  // same box, different occupation: fully overwritten
+  SerialEngine restored(other.state, other.model, other.cet, config(777));
+  restoreSerialEpoch(store, 37, other.state, restored);
+  EXPECT_TRUE(other.state == w.state);
+  EXPECT_EQ(other.state.contentHash(), w.state.contentHash());
+  EXPECT_EQ(other.state.vacancies(), w.state.vacancies());
+  EXPECT_EQ(restored.time(), engine.time());
+  EXPECT_EQ(restored.steps(), 37u);
+}
+
+void expectBitExactResume(bool useCache) {
+  // Reference: one engine runs 60 steps straight through, checkpointing
+  // at step 30.
+  World ref(2);
+  SerialEngine refEngine(ref.state, ref.model, ref.cet, config(9, useCache));
+  for (int i = 0; i < 30; ++i) refEngine.step();
+  CheckpointStore store(
+      tempDir(useCache ? "tkmc_serial_resume" : "tkmc_serial_resume_nocache"));
+  commitSerialEpoch(store, ref.state, refEngine, 9, std::nullopt);
   std::vector<SerialEngine::StepResult> referenceTail;
   for (int i = 0; i < 30; ++i) referenceTail.push_back(refEngine.step());
 
-  // Resume from the file in a fresh world and replay the tail.
-  const CheckpointData data = loadCheckpoint(path);
-  LatticeState resumedState = data.restoreState();
-  World scratch(3);  // only provides tables/potential
-  EamEnergyModel model(scratch.cet, scratch.net, scratch.eam);
-  SerialEngine resumed(resumedState, model, scratch.cet, config(777));
-  resumed.restore(data.engine);
-  EXPECT_DOUBLE_EQ(resumed.time(), data.engine.time);
+  // Resume in a fresh world and replay the tail.
+  World scratch(3);
+  SerialEngine resumed(scratch.state, scratch.model, scratch.cet,
+                       config(777, useCache));
+  restoreSerialEpoch(store, 30, scratch.state, resumed);
   for (int i = 0; i < 30; ++i) {
     const auto r = resumed.step();
-    ASSERT_EQ(r.from, referenceTail[static_cast<std::size_t>(i)].from)
-        << "step " << i;
-    ASSERT_EQ(r.to, referenceTail[static_cast<std::size_t>(i)].to);
-    ASSERT_EQ(r.dt, referenceTail[static_cast<std::size_t>(i)].dt);
+    const auto& expect = referenceTail[static_cast<std::size_t>(i)];
+    ASSERT_EQ(r.from, expect.from) << "step " << i;
+    ASSERT_EQ(r.to, expect.to) << "step " << i;
+    ASSERT_EQ(r.dt, expect.dt) << "step " << i;
   }
-  EXPECT_TRUE(resumedState == ref.state);
-  EXPECT_DOUBLE_EQ(resumed.time(), refEngine.time());
-  std::remove(path.c_str());
+  EXPECT_TRUE(scratch.state == ref.state);
+  EXPECT_EQ(resumed.time(), refEngine.time());
+  EXPECT_EQ(resumed.steps(), refEngine.steps());
 }
 
-TEST(Checkpoint, ResumeWithoutCacheAlsoBitExact) {
-  World ref(4);
-  EamEnergyModel refModel(ref.cet, ref.net, ref.eam);
-  KmcConfig noCache = config(11);
-  noCache.useVacancyCache = false;
-  SerialEngine refEngine(ref.state, refModel, ref.cet, noCache);
-  for (int i = 0; i < 20; ++i) refEngine.step();
-  const std::string path = tempPath("tkmc_checkpoint_nocache.chk");
-  saveCheckpoint(path, ref.state, refEngine);
-  const auto tail = refEngine.step();
+TEST(SerialCheckpoint, ResumedTrajectoryIsBitExact) { expectBitExactResume(true); }
 
-  const CheckpointData data = loadCheckpoint(path);
-  LatticeState resumedState = data.restoreState();
-  World scratch(5);
-  EamEnergyModel model(scratch.cet, scratch.net, scratch.eam);
-  SerialEngine resumed(resumedState, model, scratch.cet, noCache);
-  resumed.restore(data.engine);
-  const auto r = resumed.step();
-  EXPECT_EQ(r.from, tail.from);
-  EXPECT_EQ(r.to, tail.to);
-  EXPECT_EQ(r.dt, tail.dt);
-  std::remove(path.c_str());
+TEST(SerialCheckpoint, ResumeWithoutCacheAlsoBitExact) {
+  expectBitExactResume(false);
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+TEST(SerialCheckpoint, FacadeRunResumesToTheSameHashTimeAndSteps) {
+  Simulation a(eamConfig(10));
+  a.run(1e300, 25);
+  CheckpointStore store(tempDir("tkmc_serial_facade"));
+  commitSerialEpoch(store, a.state(), a.engine(), 10, std::nullopt);
+  a.run(1e300, 25);  // the uninterrupted reference
+
+  Simulation b(eamConfig(999));  // different seed: state fully overwritten
+  restoreSerialEpoch(store, 25, b.mutableState(), b.engine());
+  EXPECT_EQ(b.steps(), 25u);
+  b.run(1e300, 25);
+  EXPECT_EQ(b.state().contentHash(), a.state().contentHash());
+  EXPECT_TRUE(b.state() == a.state());
+  EXPECT_EQ(b.time(), a.time());
+  EXPECT_EQ(b.steps(), a.steps());
 }
 
-void writeFile(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary);
-  out << contents;
+TEST(SerialCheckpoint, EmptyStoreHasNoRestartPointAndRestoreIsATypedError) {
+  CheckpointStore store(tempDir("tkmc_serial_empty"));
+  EXPECT_FALSE(store.newestCompleteEpoch().has_value());
+  World w(4);
+  SerialEngine engine(w.state, w.model, w.cet, config(4));
+  EXPECT_THROW(restoreSerialEpoch(store, 0, w.state, engine), IoError);
 }
 
-void cleanupReplicas(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".bak").c_str());
-  std::remove((path + ".tmp").c_str());
-}
-
-TEST(Checkpoint, MissingFileThrows) {
-  EXPECT_THROW(loadCheckpoint("/no/such/file.chk"), IoError);
-}
-
-TEST(Checkpoint, WritesV3PackedWithCrcFooterAndNoTempResidue) {
-  World w(7);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(15));
-  const std::string path = tempPath("tkmc_checkpoint_v3.chk");
-  cleanupReplicas(path);
-  saveCheckpoint(path, w.state, engine);
-  const std::string contents = readFile(path);
-  EXPECT_EQ(contents.rfind("tensorkmc-checkpoint 3\n", 0), 0u);
-  EXPECT_NE(contents.rfind("\ncrc32 "), std::string::npos);
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  const CheckpointData data = loadCheckpoint(path);
-  EXPECT_TRUE(data.restoreState() == w.state);
-  cleanupReplicas(path);
-}
-
-TEST(Checkpoint, V3PackedBodyIsHalfTheDenseBody) {
-  // The packed occupation (4 sites/byte, hex-encoded: 2 chars per byte)
-  // must come in at half the one-digit-per-site v2 body.
-  World w(14);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(29));
-  const std::string v3 = tempPath("tkmc_checkpoint_size_v3.chk");
-  const std::string v2 = tempPath("tkmc_checkpoint_size_v2.chk");
-  cleanupReplicas(v3);
-  cleanupReplicas(v2);
-  saveCheckpoint(v3, w.state, engine);
-  saveCheckpointV2(v2, w.state, engine);
-  EXPECT_LT(std::filesystem::file_size(v3),
-            std::filesystem::file_size(v2) * 6 / 10);
-  cleanupReplicas(v3);
-  cleanupReplicas(v2);
-}
-
-TEST(Checkpoint, V2FilesStillLoadBitExactThroughFallbackPath) {
-  // Files produced by the retained v2 writer (dense digit body + CRC
-  // footer) must load bit-exactly through loadCheckpointWithFallback.
-  World w(15);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(33));
-  for (int i = 0; i < 11; ++i) engine.step();
-  const std::string path = tempPath("tkmc_checkpoint_v2compat.chk");
-  cleanupReplicas(path);
-  saveCheckpointV2(path, w.state, engine);
-  const std::string contents = readFile(path);
-  EXPECT_EQ(contents.rfind("tensorkmc-checkpoint 2\n", 0), 0u);
-  EXPECT_NE(contents.rfind("\ncrc32 "), std::string::npos);
-  const CheckpointLoadResult result = loadCheckpointWithFallback(path);
-  EXPECT_FALSE(result.usedBackup);
-  EXPECT_EQ(result.data.engine.steps, 11u);
-  const LatticeState restored = result.data.restoreState();
-  EXPECT_TRUE(restored == w.state);
-  EXPECT_EQ(restored.contentHash(), w.state.contentHash());
-  EXPECT_EQ(restored.vacancies(), w.state.vacancies());
-  cleanupReplicas(path);
-}
-
-TEST(Checkpoint, BitFlippedBodyFailsCrc) {
-  World w(8);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(17));
-  const std::string path = tempPath("tkmc_checkpoint_bitflip.chk");
-  cleanupReplicas(path);
-  saveCheckpoint(path, w.state, engine);
-  std::string contents = readFile(path);
-  contents[contents.size() / 2] ^= 0x01;  // single bit flip in the body
-  writeFile(path, contents);
-  EXPECT_THROW(loadCheckpoint(path), IoError);
-  cleanupReplicas(path);
-}
-
-TEST(Checkpoint, WrongMagicAndVersionAreTypedErrors) {
-  const std::string path = tempPath("tkmc_checkpoint_magic.chk");
-  writeFile(path, "not-a-checkpoint 7\n");
-  EXPECT_THROW(loadCheckpoint(path), IoError);
-  writeFile(path, "tensorkmc-checkpoint 9\n1 1 1 2.87\n");
-  EXPECT_THROW(loadCheckpoint(path), IoError);
-  cleanupReplicas(path);
-}
-
-TEST(Checkpoint, VacancyListDisagreeingWithOccupationIsInvariantError) {
-  World w(9);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(19));
-  const std::string path = tempPath("tkmc_checkpoint_vacdisagree.chk");
-  cleanupReplicas(path);
-  saveCheckpoint(path, w.state, engine);
-  CheckpointData data = loadCheckpoint(path);
-  // Point the first vacancy at a site the occupation says is an atom.
-  const BccLattice lat(data.cellsX, data.cellsY, data.cellsZ,
-                       data.latticeConstant);
-  Vec3i forged{0, 0, 0};
-  bool found = false;
-  for (int x = 0; x < 8 && !found; x += 2)
-    for (int y = 0; y < 8 && !found; y += 2) {
-      const Vec3i p{x, y, 0};
-      if (data.species[static_cast<std::size_t>(lat.siteId(p))] !=
-          Species::kVacancy) {
-        forged = p;
-        found = true;
-      }
-    }
-  ASSERT_TRUE(found);
-  data.vacancyOrder[0] = forged;
-  EXPECT_THROW(data.restoreState(), InvariantError);
-  cleanupReplicas(path);
-}
-
-TEST(Checkpoint, SecondSaveRotatesBackupAndFallbackRecovers) {
-  World w(10);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(21));
-  const std::string path = tempPath("tkmc_checkpoint_rotate.chk");
-  cleanupReplicas(path);
-  saveCheckpoint(path, w.state, engine);        // good primary
-  engine.step();
-  saveCheckpoint(path, w.state, engine);        // rotates good -> .bak
-  ASSERT_TRUE(std::filesystem::exists(path + ".bak"));
-
-  // Corrupt the primary; fallback must degrade to the backup.
-  std::string contents = readFile(path);
-  contents[contents.size() / 3] ^= 0x04;
-  writeFile(path, contents);
-  EXPECT_THROW(loadCheckpoint(path), IoError);
-  const CheckpointLoadResult result = loadCheckpointWithFallback(path);
-  EXPECT_TRUE(result.usedBackup);
-  EXPECT_EQ(result.data.engine.steps, 0u);  // the pre-step snapshot
-  cleanupReplicas(path);
-}
-
-TEST(Checkpoint, FallbackPrefersHealthyPrimary) {
-  World w(11);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(23));
-  const std::string path = tempPath("tkmc_checkpoint_primary.chk");
-  cleanupReplicas(path);
-  saveCheckpoint(path, w.state, engine);
-  const CheckpointLoadResult result = loadCheckpointWithFallback(path);
-  EXPECT_FALSE(result.usedBackup);
-  cleanupReplicas(path);
-}
-
-TEST(Checkpoint, BothReplicasCorruptIsUnrecoverable) {
-  const std::string path = tempPath("tkmc_checkpoint_unrecoverable.chk");
-  writeFile(path, "garbage");
-  writeFile(path + ".bak", "more garbage");
-  EXPECT_THROW(loadCheckpointWithFallback(path), IoError);
-  cleanupReplicas(path);
-}
-
-TEST(Checkpoint, InjectedCorruptWriteIsCaughtAndBackupServes) {
-  World w(12);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(25));
-  for (int i = 0; i < 5; ++i) engine.step();
-  const std::string path = tempPath("tkmc_checkpoint_injected.chk");
-  cleanupReplicas(path);
-  saveCheckpoint(path, w.state, engine);  // good replica
-
-  FaultInjector inj(31);
-  inj.armOnce("checkpoint.corrupt_write");
-  FaultScope scope(inj);
-  engine.step();
-  saveCheckpoint(path, w.state, engine);  // corrupted on the way out
-  EXPECT_EQ(inj.fireCount("checkpoint.corrupt_write"), 1u);
-  EXPECT_THROW(loadCheckpoint(path), IoError);
-
-  const CheckpointLoadResult result = loadCheckpointWithFallback(path);
-  EXPECT_TRUE(result.usedBackup);
-  EXPECT_EQ(result.data.engine.steps, 5u);
-  // Round trip continues from the recovered replica.
-  const LatticeState restored = result.data.restoreState();
-  EXPECT_EQ(restored.vacancies().size(), 3u);
-  cleanupReplicas(path);
-}
-
-TEST(Checkpoint, V1FilesStillLoadReadOnly) {
-  World w(13);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(27));
-  for (int i = 0; i < 3; ++i) engine.step();
-  const std::string path = tempPath("tkmc_checkpoint_v1.chk");
-  cleanupReplicas(path);
-  saveCheckpointV1(path, w.state, engine);
-  const std::string contents = readFile(path);
-  EXPECT_EQ(contents.rfind("tensorkmc-checkpoint 1\n", 0), 0u);
-  EXPECT_EQ(contents.rfind("\ncrc32 "), std::string::npos);
-  const CheckpointData data = loadCheckpoint(path);
-  EXPECT_EQ(data.engine.steps, 3u);
-  EXPECT_TRUE(data.restoreState() == w.state);
-  // The same v1 file must also serve through the fallback-aware loader.
-  const CheckpointLoadResult viaFallback = loadCheckpointWithFallback(path);
-  EXPECT_FALSE(viaFallback.usedBackup);
-  EXPECT_TRUE(viaFallback.data.restoreState() == w.state);
-  EXPECT_EQ(viaFallback.data.restoreState().contentHash(),
-            w.state.contentHash());
-  cleanupReplicas(path);
-}
-
-TEST(Checkpoint, CorruptFileThrows) {
-  const std::string path = tempPath("tkmc_checkpoint_corrupt.chk");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("not-a-checkpoint 7\n", f);
-    std::fclose(f);
+TEST(SerialCheckpoint, RetentionKeepsTheNewestEpochAndOneFallback) {
+  World w(5);
+  SerialEngine engine(w.state, w.model, w.cet, config(5));
+  CheckpointStore store(tempDir("tkmc_serial_retention"));
+  std::optional<std::uint64_t> last;
+  const std::vector<std::vector<std::uint64_t>> expected = {
+      {10}, {10, 20}, {20, 30}, {30, 40}};
+  for (const auto& listing : expected) {
+    for (int i = 0; i < 10; ++i) engine.step();
+    last = commitSerialEpoch(store, w.state, engine, 5, last);
+    EXPECT_EQ(store.epochs(), listing);
   }
-  EXPECT_THROW(loadCheckpoint(path), Error);
-  std::remove(path.c_str());
 }
 
-TEST(Checkpoint, TruncatedOccupationThrows) {
+TEST(SerialCheckpoint, TornNewestShardResumesFromThePreviousEpoch) {
   World w(6);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(13));
-  const std::string path = tempPath("tkmc_checkpoint_trunc.chk");
-  saveCheckpoint(path, w.state, engine);
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 200);
-  EXPECT_THROW(loadCheckpoint(path), Error);
-  std::remove(path.c_str());
+  SerialEngine engine(w.state, w.model, w.cet, config(6));
+  CheckpointStore store(tempDir("tkmc_serial_torn"));
+  for (int i = 0; i < 10; ++i) engine.step();
+  const std::uint64_t first =
+      commitSerialEpoch(store, w.state, engine, 6, std::nullopt);
+  const std::uint32_t firstHash = w.state.contentHash();
+  for (int i = 0; i < 10; ++i) engine.step();
+  commitSerialEpoch(store, w.state, engine, 6, first);
+
+  truncateToHalf(store.epochPath(20) + "/rank_0.tkc");
+  ASSERT_EQ(store.newestCompleteEpoch(), first);
+
+  // The fallback epoch replays to the same state the live run reached.
+  World scratch(7);
+  SerialEngine resumed(scratch.state, scratch.model, scratch.cet, config(1));
+  restoreSerialEpoch(store, first, scratch.state, resumed);
+  EXPECT_EQ(scratch.state.contentHash(), firstHash);
+  for (int i = 0; i < 10; ++i) resumed.step();
+  EXPECT_TRUE(scratch.state == w.state);
+  EXPECT_EQ(resumed.time(), engine.time());
 }
 
-TEST(Checkpoint, TruncationAtAnyOffsetFallsBackToBackup) {
-  // A v3 file torn mid packed-hex line (not just at a line boundary)
-  // must degrade to the .bak replica through the fallback loader, never
-  // escape as an untyped error, and never serve partial state.
-  World w(16);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(35));
-  for (int i = 0; i < 4; ++i) engine.step();
-  const std::string path = tempPath("tkmc_checkpoint_trunc_fallback.chk");
-  cleanupReplicas(path);
-  saveCheckpoint(path, w.state, engine);  // becomes .bak on the next save
+TEST(SerialCheckpoint, TruncationAtAnyOffsetFallsBackToThePreviousEpoch) {
+  World w(8);
+  SerialEngine engine(w.state, w.model, w.cet, config(8));
+  CheckpointStore store(tempDir("tkmc_serial_cuts"));
   engine.step();
-  saveCheckpoint(path, w.state, engine);
-  ASSERT_TRUE(std::filesystem::exists(path + ".bak"));
-  const std::string intact = readFile(path);
-  const std::size_t size = intact.size();
-  // Offsets chosen to land mid-footer, mid-hex-line, mid-body, and just
-  // past the header.
-  const std::size_t cuts[] = {size - 3, size - 47, size - 200, size / 2 + 7,
-                              size / 4, 40};
-  for (const std::size_t cut : cuts) {
-    writeFile(path, intact.substr(0, cut));
-    EXPECT_THROW(loadCheckpoint(path), IoError) << "cut at " << cut;
-    CheckpointLoadResult result;
-    ASSERT_NO_THROW(result = loadCheckpointWithFallback(path))
-        << "cut at " << cut;
-    EXPECT_TRUE(result.usedBackup) << "cut at " << cut;
-    EXPECT_EQ(result.data.engine.steps, 4u) << "cut at " << cut;
+  const std::uint64_t first =
+      commitSerialEpoch(store, w.state, engine, 8, std::nullopt);
+  engine.step();
+  const std::uint64_t second = commitSerialEpoch(store, w.state, engine, 8, first);
+
+  for (const char* file : {"rank_0.tkc", "manifest.tkm"}) {
+    const std::string path = store.epochPath(second) + "/" + file;
+    const std::string intact = readFile(path);
+    for (std::size_t cut = 0; cut < intact.size(); cut += 37) {
+      writeFileAtomic(path, intact.substr(0, cut));
+      EXPECT_EQ(store.newestCompleteEpoch(), first)
+          << file << " cut at " << cut;
+    }
+    writeFileAtomic(path, intact);
+    EXPECT_EQ(store.newestCompleteEpoch(), second);
   }
-  cleanupReplicas(path);
 }
 
-TEST(Checkpoint, AbsurdHeaderGeometryIsATypedErrorAndFallsBack) {
-  // A header claiming a preposterous box must surface as IoError (not a
-  // bad_alloc / length_error from trying to allocate it) and must not
-  // block fallback to a healthy backup.
-  const std::string path = tempPath("tkmc_checkpoint_hugehdr.chk");
-  cleanupReplicas(path);
-  writeFile(path,
-            "tensorkmc-checkpoint 1\n99999999 99999999 99999999 2.87\n"
-            "0.0 0\n1 2 3 4\n0\n");
-  EXPECT_THROW(loadCheckpoint(path), IoError);
-  EXPECT_THROW(loadCheckpointWithFallback(path), IoError);  // no backup
+TEST(SerialCheckpoint, InjectedShardCorruptWriteFallsBackToThePreviousEpoch) {
+  World w(9);
+  SerialEngine engine(w.state, w.model, w.cet, config(9));
+  CheckpointStore store(tempDir("tkmc_serial_rot"));
+  engine.step();
+  const std::uint64_t first =
+      commitSerialEpoch(store, w.state, engine, 9, std::nullopt);
+  engine.step();
+  FaultInjector inj(3);
+  inj.armOnce("checkpoint.shard_corrupt_write");
+  {
+    FaultScope scope(inj);
+    commitSerialEpoch(store, w.state, engine, 9, first);
+  }
+  EXPECT_EQ(inj.triggerCount("checkpoint.shard_corrupt_write"), 1u);
+  EXPECT_FALSE(store.chainValid(2));
+  EXPECT_EQ(store.newestCompleteEpoch(), first);
+}
 
-  World w(17);
-  EamEnergyModel model(w.cet, w.net, w.eam);
-  SerialEngine engine(w.state, model, w.cet, config(37));
-  for (int i = 0; i < 2; ++i) engine.step();
-  saveCheckpoint(path + ".bak", w.state, engine);  // healthy backup appears
-  const CheckpointLoadResult result = loadCheckpointWithFallback(path);
-  EXPECT_TRUE(result.usedBackup);
-  EXPECT_EQ(result.data.engine.steps, 2u);
-  EXPECT_TRUE(result.data.restoreState() == w.state);
-  cleanupReplicas(path);
+TEST(SerialCheckpoint, VacancyOrderDisagreeingWithOccupationIsInvariantError) {
+  World w(10);
+  SerialEngine engine(w.state, w.model, w.cet, config(10));
+  for (int i = 0; i < 5; ++i) engine.step();
+  CheckpointStore store(tempDir("tkmc_serial_forged_vacancies"));
+  commitSerialEpoch(store, w.state, engine, 10, std::nullopt);
+  // An atom site listed as a vacancy, and a vacancy missing from the
+  // list: both CRC-valid, both rejected before any state changes.
+  recommit(store, 5, 6, [](EpochManifest&, std::vector<ShardRecord>& s) {
+    s[0].vacancyOrder[0] = {0, 0, 0};
+    if (s[0].species[0] == static_cast<std::uint8_t>(Species::kVacancy))
+      s[0].vacancyOrder[0] = {1, 1, 1};
+  });
+  recommit(store, 5, 7, [](EpochManifest&, std::vector<ShardRecord>& s) {
+    s[0].vacancyOrder.pop_back();
+  });
+  World other(11);
+  SerialEngine restored(other.state, other.model, other.cet, config(11));
+  const std::uint32_t before = other.state.contentHash();
+  EXPECT_THROW(restoreSerialEpoch(store, 6, other.state, restored),
+               InvariantError);
+  EXPECT_THROW(restoreSerialEpoch(store, 7, other.state, restored),
+               InvariantError);
+  EXPECT_EQ(other.state.contentHash(), before);
+}
+
+TEST(SerialCheckpoint, GridAndCatalogMismatchesAreRejected) {
+  World w(12);
+  SerialEngine engine(w.state, w.model, w.cet, config(12));
+  engine.step();
+  CheckpointStore store(tempDir("tkmc_serial_mismatch"));
+  commitSerialEpoch(store, w.state, engine, 12, std::nullopt);
+  recommit(store, 1, 2, [](EpochManifest& m, std::vector<ShardRecord>&) {
+    m.rankGrid = {2, 1, 1};
+  });
+  recommit(store, 1, 3, [](EpochManifest& m, std::vector<ShardRecord>&) {
+    m.catalog = "trap_detrap";
+  });
+  World other(13);
+  SerialEngine restored(other.state, other.model, other.cet, config(13));
+  EXPECT_THROW(restoreSerialEpoch(store, 2, other.state, restored), Error);
+  EXPECT_THROW(restoreSerialEpoch(store, 3, other.state, restored), Error);
+  EXPECT_NO_THROW(restoreSerialEpoch(store, 1, other.state, restored));
+}
+
+TEST(SerialCheckpoint, RestoreRejectsMismatchedBox) {
+  Simulation a(eamConfig(11));
+  CheckpointStore store(tempDir("tkmc_serial_bad_box"));
+  commitSerialEpoch(store, a.state(), a.engine(), 11, std::nullopt);
+  SimulationConfig other = eamConfig(11);
+  other.cells = 10;
+  Simulation b(other);
+  EXPECT_THROW(restoreSerialEpoch(store, 0, b.mutableState(), b.engine()),
+               Error);
 }
 
 }  // namespace

@@ -303,10 +303,10 @@ TEST(DeltaEngine, ConsolidationBoundsChainsAndGCsSupersededDeltas) {
   for (int c = 0; c < 8; ++c) engine.runCycle();
 
   // Epochs 4 and 8 consolidate (a fourth link would exceed the bound);
-  // each consolidation GCs the deltas it supersedes. Only the
-  // self-contained fulls remain.
+  // each consolidation GCs the deltas it supersedes and every epoch
+  // older than the previous full. Only the two newest fulls remain.
   CheckpointStore store(dir);
-  EXPECT_EQ(store.epochs(), (std::vector<std::uint64_t>{0, 4, 8}));
+  EXPECT_EQ(store.epochs(), (std::vector<std::uint64_t>{4, 8}));
   for (const std::uint64_t e : store.epochs())
     EXPECT_FALSE(store.loadManifest(e).isDelta()) << "epoch " << e;
   EXPECT_EQ(store.newestCompleteEpoch(), std::uint64_t{8});

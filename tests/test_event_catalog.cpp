@@ -171,7 +171,9 @@ TEST(EventCatalogGolden, ResumeFromCheckpointMatchesDirectRun) {
   cfg.checkpointDir = dir;
   cfg.checkpointCadence = 2;
   ParallelEngine engine(fx.state, fx.model, fx.cet, cfg);
-  for (int c = 0; c < 8; ++c) engine.runCycle();
+  // Six cycles commit epochs 0..6; retention keeps the two newest fulls,
+  // 4 and 6.
+  for (int c = 0; c < 6; ++c) engine.runCycle();
 
   ParallelFixture rfx;
   ParallelConfig rcfg = rfx.config({2, 2, 1});
@@ -364,6 +366,7 @@ TEST(EventCatalog, ManifestRecordsCatalogAndResumeValidatesIt) {
   cfg.checkpointDir = dir;
   cfg.checkpointCadence = 1;
   ParallelEngine engine(fx.state, fx.model, fx.cet, cfg);
+  // Retention keeps the two newest full epochs, 5 and 6.
   for (int c = 0; c < 6; ++c) engine.runCycle();
 
   CheckpointStore store(dir);
@@ -377,7 +380,7 @@ TEST(EventCatalog, ManifestRecordsCatalogAndResumeValidatesIt) {
   ParallelFixture rfx;
   ParallelConfig rcfg = rfx.config({2, 2, 1});
   rcfg.catalog = cfg.catalog;
-  ParallelEngine resumed(rfx.model, rfx.cet, rcfg, store, 4);
+  ParallelEngine resumed(rfx.model, rfx.cet, rcfg, store, 5);
   while (resumed.cycles() < 6) resumed.runCycle();
   EXPECT_EQ(resumed.assembleGlobalState().contentHash(),
             engine.assembleGlobalState().contentHash());
@@ -386,7 +389,7 @@ TEST(EventCatalog, ManifestRecordsCatalogAndResumeValidatesIt) {
 
   ParallelFixture mfx;
   ParallelConfig mismatched = mfx.config({2, 2, 1});  // default vacancy_hop
-  EXPECT_THROW(ParallelEngine(mfx.model, mfx.cet, mismatched, store, 4),
+  EXPECT_THROW(ParallelEngine(mfx.model, mfx.cet, mismatched, store, 5),
                Error);
   std::filesystem::remove_all(dir);
 }

@@ -120,21 +120,21 @@ TEST(FaultInjector, ResetRestoresSeedFreshStreams) {
 TEST(FaultInjector, TriggerCountAndReportNameEveryFiredPoint) {
   FaultInjector inj(5);
   inj.armSchedule("comm.drop", {1, 3});
-  inj.armOnce("checkpoint.corrupt_write");
+  inj.armOnce("checkpoint.shard_corrupt_write");
   for (int i = 0; i < 4; ++i) inj.shouldFire("comm.drop");
-  inj.shouldFire("checkpoint.corrupt_write");
+  inj.shouldFire("checkpoint.shard_corrupt_write");
   inj.shouldFire("engine.cycle");  // hit but never armed
 
   EXPECT_EQ(inj.triggerCount("comm.drop"), 2u);
-  EXPECT_EQ(inj.triggerCount("checkpoint.corrupt_write"), 1u);
+  EXPECT_EQ(inj.triggerCount("checkpoint.shard_corrupt_write"), 1u);
   EXPECT_EQ(inj.triggerCount("engine.cycle"), 0u);
   EXPECT_EQ(inj.firedPoints(),
-            (std::vector<std::string>{"checkpoint.corrupt_write",
+            (std::vector<std::string>{"checkpoint.shard_corrupt_write",
                                       "comm.drop"}));
 
   const auto rows = inj.report();
   ASSERT_EQ(rows.size(), 3u);  // sorted by name, untouched points absent
-  EXPECT_EQ(rows[0].name, "checkpoint.corrupt_write");
+  EXPECT_EQ(rows[0].name, "checkpoint.shard_corrupt_write");
   EXPECT_EQ(rows[0].hits, 1u);
   EXPECT_EQ(rows[0].fires, 1u);
   EXPECT_EQ(rows[1].name, "comm.drop");

@@ -174,12 +174,18 @@ TEST(InputDeck, MissingFileThrows) {
 
 TEST(InputDeck, CheckpointKeys) {
   const InputDeck deck = parse(
-      "checkpoint_write out.chk\ncheckpoint_interval 500\n"
-      "checkpoint_read in.chk\n");
-  EXPECT_EQ(deck.checkpointWritePath(), "out.chk");
+      "checkpoint_dir ckpt\ncheckpoint_interval 500\nresume on\n");
+  EXPECT_EQ(deck.checkpointDir(), "ckpt");
   EXPECT_EQ(deck.checkpointInterval(), 500u);
-  EXPECT_EQ(deck.checkpointReadPath(), "in.chk");
+  EXPECT_TRUE(deck.resume());
   EXPECT_THROW(parse("checkpoint_interval 0\n"), Error);
+}
+
+TEST(InputDeck, LegacySerialCheckpointFileKeysAreUnknown) {
+  // Serial runs checkpoint as 1-rank epochs in checkpoint_dir; the
+  // single-file keys are gone and must fail loudly, not be ignored.
+  EXPECT_THROW(parse("checkpoint_write out.chk\n"), Error);
+  EXPECT_THROW(parse("checkpoint_read in.chk\n"), Error);
 }
 
 TEST(InputDeck, DeckDrivesARunnableSimulation) {

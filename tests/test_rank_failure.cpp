@@ -150,8 +150,9 @@ TEST(CheckpointStore, TornShardOrManifestDisqualifiesTheEpoch) {
   engine.runCycle();
   engine.runCycle();
 
+  // Retention keeps the newest full epoch and the one before it.
   CheckpointStore store(dir);
-  ASSERT_EQ(store.epochs(), (std::vector<std::uint64_t>{0, 1, 2}));
+  ASSERT_EQ(store.epochs(), (std::vector<std::uint64_t>{1, 2}));
   ASSERT_EQ(store.newestCompleteEpoch(), std::uint64_t{2});
 
   // Truncate one shard of epoch 2: the whole epoch is disqualified.
@@ -167,9 +168,9 @@ TEST(CheckpointStore, TornShardOrManifestDisqualifiesTheEpoch) {
   EXPECT_EQ(store.newestCompleteEpoch(), std::uint64_t{1});
   EXPECT_THROW((void)store.loadShards(store.loadManifest(2)), IoError);
 
-  // Tear epoch 1's manifest itself: fall further back to epoch 0.
+  // Tear epoch 1's manifest itself: no restart point is left.
   std::filesystem::resize_file(store.epochPath(1) + "/manifest.tkm", 40);
-  EXPECT_EQ(store.newestCompleteEpoch(), std::uint64_t{0});
+  EXPECT_FALSE(store.newestCompleteEpoch().has_value());
 }
 
 // --- Same-grid resume --------------------------------------------------
@@ -257,6 +258,24 @@ void expectMatchesFreshShrunkResume(ParallelEngine& engine,
             engine.assembleGlobalState().contentHash());
 }
 
+/// Runs `engine` for `cycles` cycles. Retention removes the epoch a
+/// recovery resumed from once two newer full epochs exist, so the store
+/// is copied to `<dir>.recovery` right after the cycle that recovered;
+/// returns the copy's path for expectMatchesFreshShrunkResume().
+std::string runKeepingRecoveryEpoch(ParallelEngine& engine,
+                                    const std::string& dir, int cycles) {
+  const std::string copy = dir + ".recovery";
+  std::filesystem::remove_all(copy);
+  for (int c = 0; c < cycles; ++c) {
+    const std::uint64_t failures = engine.recoveryStats().rankFailures;
+    engine.runCycle();
+    if (engine.recoveryStats().rankFailures == failures) continue;
+    std::filesystem::remove_all(copy);
+    std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
+  }
+  return copy;
+}
+
 void expectEveryCommittedEpochComplete(const std::string& dir) {
   CheckpointStore store(dir);
   for (const std::uint64_t epoch : store.epochs()) {
@@ -274,11 +293,12 @@ TEST(RankFailStop, ShrinkRecoveryMatchesAFreshShrunkGridResume) {
   ParallelWorld w(35);
   EamEnergyModel model(w.cet, w.net, w.eam);
   ParallelEngine engine(w.state, model, w.cet, failstopConfig(45, dir));
+  std::string recoveryDir;
   {
     FaultInjector inj(14);
     inj.armSchedule("comm.rank_kill", {10});  // mid-fold, cycle 1
     FaultScope scope(inj);
-    for (int c = 0; c < 5; ++c) engine.runCycle();
+    recoveryDir = runKeepingRecoveryEpoch(engine, dir, 5);
     EXPECT_EQ(inj.triggerCount("comm.rank_kill"), 1u);
   }
   EXPECT_EQ(engine.cycles(), 5u);
@@ -288,7 +308,7 @@ TEST(RankFailStop, ShrinkRecoveryMatchesAFreshShrunkGridResume) {
   EXPECT_EQ(engine.vacancyCount(), 6);
   EXPECT_TRUE(engine.ghostsConsistent());
   expectEveryCommittedEpochComplete(dir);
-  expectMatchesFreshShrunkResume(engine, dir);
+  expectMatchesFreshShrunkResume(engine, recoveryDir);
 }
 
 TEST(RankFailStop, MidCommitKillNeverPublishesATornEpoch) {
@@ -306,12 +326,12 @@ TEST(RankFailStop, MidCommitKillNeverPublishesATornEpoch) {
     FaultInjector inj(15);
     inj.armSchedule("comm.rank_kill", {ordinal});
     FaultScope scope(inj);
-    for (int c = 0; c < 3; ++c) engine.runCycle();
+    const std::string recoveryDir = runKeepingRecoveryEpoch(engine, dir, 3);
     EXPECT_EQ(inj.triggerCount("comm.rank_kill"), 1u) << "ordinal " << ordinal;
     EXPECT_EQ(engine.recoveryStats().rankFailures, 1u) << "ordinal " << ordinal;
     EXPECT_EQ(engine.vacancyCount(), 6) << "ordinal " << ordinal;
     expectEveryCommittedEpochComplete(dir);
-    expectMatchesFreshShrunkResume(engine, dir);
+    expectMatchesFreshShrunkResume(engine, recoveryDir);
   }
 }
 
@@ -333,7 +353,7 @@ TEST(RankFailStopChaos, TwentySeededKillSchedulesAllRecoverBitExactly) {
     FaultInjector inj(s);
     inj.armSchedule("comm.rank_kill", {ordinal});
     FaultScope scope(inj);
-    for (int c = 0; c < 5; ++c) engine.runCycle();
+    const std::string recoveryDir = runKeepingRecoveryEpoch(engine, dir, 5);
     ASSERT_EQ(inj.triggerCount("comm.rank_kill"), 1u);
     ASSERT_EQ(engine.recoveryStats().rankFailures, 1u);
     ASSERT_EQ(engine.vacancyCount(), 6);
@@ -341,7 +361,7 @@ TEST(RankFailStopChaos, TwentySeededKillSchedulesAllRecoverBitExactly) {
     ASSERT_LT(engine.rankGrid().x * engine.rankGrid().y * engine.rankGrid().z,
               4);
     expectEveryCommittedEpochComplete(dir);
-    expectMatchesFreshShrunkResume(engine, dir);
+    expectMatchesFreshShrunkResume(engine, recoveryDir);
   }
 }
 

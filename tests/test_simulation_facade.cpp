@@ -84,36 +84,6 @@ TEST(Simulation, ModelPathCachesTrainedPotential) {
   std::remove(path.c_str());
 }
 
-TEST(Simulation, CheckpointRoundTripThroughFacade) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tkmc_facade.chk").string();
-  Simulation a(eamConfig(10));
-  a.run(1e300, 25);
-  a.writeCheckpoint(path);
-  // Reference continues for 25 more events.
-  a.run(1e300, 25);
-
-  Simulation b(eamConfig(999));  // different seed: state fully overwritten
-  b.restoreCheckpoint(loadCheckpoint(path));
-  EXPECT_EQ(b.steps(), 25u);
-  b.run(1e300, 25);
-  EXPECT_TRUE(b.state() == a.state());
-  EXPECT_DOUBLE_EQ(b.time(), a.time());
-  std::remove(path.c_str());
-}
-
-TEST(Simulation, RestoreRejectsMismatchedBox) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tkmc_facade_bad.chk").string();
-  Simulation a(eamConfig(11));
-  a.writeCheckpoint(path);
-  SimulationConfig other = eamConfig(11);
-  other.cells = 10;
-  Simulation b(other);
-  EXPECT_THROW(b.restoreCheckpoint(loadCheckpoint(path)), Error);
-  std::remove(path.c_str());
-}
-
 TEST(Simulation, RejectsBadChannelWidth) {
   SimulationConfig cfg = eamConfig(7);
   cfg.potential = SimulationConfig::Potential::kNnp;

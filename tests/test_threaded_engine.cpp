@@ -175,6 +175,24 @@ ParallelConfig failstopConfig(std::uint64_t seed, const std::string& dir,
   return cfg;
 }
 
+/// Runs `engine` for `cycles` cycles. Retention removes the epoch a
+/// recovery resumed from once two newer full epochs exist, so the store
+/// is copied to `<dir>.recovery` right after the cycle that recovered;
+/// returns the copy's path for expectMatchesFreshSequentialResume().
+std::string runKeepingRecoveryEpoch(ParallelEngine& engine,
+                                    const std::string& dir, int cycles) {
+  const std::string copy = dir + ".recovery";
+  std::filesystem::remove_all(copy);
+  for (int c = 0; c < cycles; ++c) {
+    const std::uint64_t failures = engine.recoveryStats().rankFailures;
+    engine.runCycle();
+    if (engine.recoveryStats().rankFailures == failures) continue;
+    std::filesystem::remove_all(copy);
+    std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
+  }
+  return copy;
+}
+
 void expectEveryCommittedEpochComplete(const std::string& dir) {
   CheckpointStore store(dir);
   for (const std::uint64_t epoch : store.epochs()) {
@@ -229,7 +247,7 @@ TEST(ThreadedEngineChaos, TwentySeededKillSchedulesAllRecoverBitExactly) {
     FaultInjector inj(s);
     inj.armSchedule("comm.rank_kill", {ordinal});
     FaultScope scope(inj);
-    for (int c = 0; c < 5; ++c) engine.runCycle();
+    const std::string recoveryDir = runKeepingRecoveryEpoch(engine, dir, 5);
     ASSERT_EQ(inj.triggerCount("comm.rank_kill"), 1u);
     ASSERT_EQ(engine.recoveryStats().rankFailures, 1u);
     ASSERT_EQ(engine.vacancyCount(), 6);
@@ -237,7 +255,7 @@ TEST(ThreadedEngineChaos, TwentySeededKillSchedulesAllRecoverBitExactly) {
     ASSERT_LT(engine.rankGrid().x * engine.rankGrid().y * engine.rankGrid().z,
               4);
     expectEveryCommittedEpochComplete(dir);
-    expectMatchesFreshSequentialResume(engine, dir);
+    expectMatchesFreshSequentialResume(engine, recoveryDir);
   }
 }
 

@@ -19,13 +19,13 @@
 #include <string>
 
 #include <memory>
+#include <optional>
 
 #include "analysis/xyz_writer.hpp"
 #include "common/fault_injection.hpp"
 #include "common/stopwatch.hpp"
 #include "common/telemetry/telemetry.hpp"
 #include "core/input_deck.hpp"
-#include "kmc/checkpoint.hpp"
 #include "parallel/parallel_engine.hpp"
 #include "sunway/sunway_energy_model.hpp"
 
@@ -126,7 +126,7 @@ void reportParallel(const ParallelEngine& engine, const Stopwatch& wall) {
               static_cast<unsigned long long>(engine.discardedEvents()), rate);
 }
 
-void printRecoverySummary(const RecoveryStats& rs, bool usedCheckpointBackup) {
+void printRecoverySummary(const RecoveryStats& rs) {
   std::printf("fault tolerance: %llu rollbacks, %llu invariant trips, "
               "%llu comm errors, %llu ghost retries, %llu fold retries, "
               "%llu rank failures (%llu epochs rolled back)\n",
@@ -137,13 +137,73 @@ void printRecoverySummary(const RecoveryStats& rs, bool usedCheckpointBackup) {
               static_cast<unsigned long long>(rs.foldRetries),
               static_cast<unsigned long long>(rs.rankFailures),
               static_cast<unsigned long long>(rs.epochsRolledBack));
-  if (usedCheckpointBackup)
-    std::printf("fault tolerance: checkpoint primary was unreadable; the "
-                ".bak replica served the resume\n");
+}
+
+/// A restart point found by `resume on`.
+struct ResumePoint {
+  std::unique_ptr<CheckpointStore> store;
+  std::uint64_t epoch = 0;
+};
+
+/// `resume on`: the newest complete epoch in checkpoint_dir, found by the
+/// same probe in both modes. With a remote_dir configured the probe store
+/// heals epochs whose local shards are missing or torn from the remote
+/// copy (placement-map CRC-verified), so a run whose node died — local
+/// shards and all — restarts from the streamed copy.
+std::optional<ResumePoint> probeResume(const InputDeck& deck) {
+  if (!deck.resume() || deck.checkpointDir().empty()) return std::nullopt;
+  ResumePoint point;
+  point.store = std::make_unique<CheckpointStore>(deck.checkpointDir());
+  point.store->setMaxDeltaChain(deck.maxDeltaChain());
+  if (!deck.remoteDir().empty())
+    point.store->attachRemote(
+        std::make_shared<DirRemoteStore>(deck.remoteDir()));
+  const std::optional<std::uint64_t> epoch = point.store->newestCompleteEpoch();
+  if (!epoch) {
+    std::printf("resume requested but %s has no complete epoch; "
+                "starting fresh\n",
+                deck.checkpointDir().c_str());
+    return std::nullopt;
+  }
+  point.epoch = *epoch;
+  return point;
+}
+
+void reportResume(const InputDeck& deck, const ResumePoint& point,
+                  double time) {
+  if (point.store->remoteHeals() > 0)
+    std::printf("remote store: healed %llu epoch(s) from %s\n",
+                static_cast<unsigned long long>(point.store->remoteHeals()),
+                deck.remoteDir().c_str());
+  std::printf("resumed from checkpoint epoch %llu at t = %.4e s\n",
+              static_cast<unsigned long long>(point.epoch), time);
 }
 
 int runSerial(const InputDeck& deck, Simulation& sim,
-              bool usedCheckpointBackup) {
+              const std::optional<ResumePoint>& resume) {
+  // A serial run checkpoints as 1-rank epochs in checkpoint_dir, every
+  // checkpoint_interval events and at the end; retention keeps the
+  // previous epoch as the fallback restart point.
+  std::unique_ptr<CheckpointStore> store;
+  std::optional<std::uint64_t> lastEpoch;
+  if (resume) {
+    restoreSerialEpoch(*resume->store, resume->epoch, sim.mutableState(),
+                       sim.engine());
+    reportResume(deck, *resume, sim.time());
+    lastEpoch = resume->epoch;
+  }
+  if (!deck.checkpointDir().empty()) {
+    store = std::make_unique<CheckpointStore>(deck.checkpointDir());
+    store->gcStaleArtifacts();
+    std::printf("serial checkpoints: %s, every %llu event(s)\n",
+                deck.checkpointDir().c_str(),
+                static_cast<unsigned long long>(deck.checkpointInterval()));
+  }
+  const auto checkpoint = [&] {
+    lastEpoch = commitSerialEpoch(*store, sim.state(), sim.engine(),
+                                  deck.simulationConfig().seed, lastEpoch);
+  };
+
   std::ofstream dump;
   if (!deck.dumpPath().empty()) {
     dump.open(deck.dumpPath());
@@ -177,14 +237,12 @@ int runSerial(const InputDeck& deck, Simulation& sim,
                             "time=" + std::to_string(sim.time()));
       sinceDump = 0;
     }
-    if (!deck.checkpointWritePath().empty() &&
-        ++sinceCheckpoint >= deck.checkpointInterval()) {
-      sim.writeCheckpoint(deck.checkpointWritePath());
+    if (store && ++sinceCheckpoint >= deck.checkpointInterval()) {
+      checkpoint();
       sinceCheckpoint = 0;
     }
   }
-  if (!deck.checkpointWritePath().empty())
-    sim.writeCheckpoint(deck.checkpointWritePath());
+  if (store && lastEpoch != sim.steps()) checkpoint();
   report(sim, wall);
   if (dump.is_open())
     XyzWriter::writeFrame(dump, sim.state(),
@@ -194,7 +252,7 @@ int runSerial(const InputDeck& deck, Simulation& sim,
   sim.publishMemoryTelemetry();
   // Serial runs have no rollback machinery; the recovery line still
   // appears so every summary names its fault-tolerance outcome.
-  printRecoverySummary(RecoveryStats{}, usedCheckpointBackup);
+  printRecoverySummary(RecoveryStats{});
   std::printf("done: %llu events, %.4e simulated seconds, %.2f s wall "
               "(%.0f events/s)\n",
               static_cast<unsigned long long>(executed), sim.time(),
@@ -205,7 +263,8 @@ int runSerial(const InputDeck& deck, Simulation& sim,
   return 0;
 }
 
-int runParallel(const InputDeck& deck, Simulation& sim) {
+int runParallel(const InputDeck& deck, Simulation& sim,
+                const std::optional<ResumePoint>& resume) {
   ParallelConfig pc;
   pc.temperature = deck.simulationConfig().temperature;
   pc.tStop = deck.tStop();
@@ -240,36 +299,12 @@ int runParallel(const InputDeck& deck, Simulation& sim) {
                 "(big-fusion backend)\n");
   }
 
-  // `resume on`: restart from the newest complete epoch in
-  // checkpoint_dir. With a remote_dir configured the probe store heals
-  // epochs whose local shards are missing or torn from the remote copy
-  // (placement-map CRC-verified), so a run whose node died — local
-  // shards and all — restarts from the streamed copy.
   std::unique_ptr<ParallelEngine> resumedEngine;
-  if (deck.resume() && !pc.checkpointDir.empty()) {
-    CheckpointStore probe(pc.checkpointDir);
-    probe.setMaxDeltaChain(pc.maxDeltaChain);
-    std::shared_ptr<RemoteShardStore> probeRemote;
-    if (!pc.remoteDir.empty()) {
-      probeRemote = std::make_shared<DirRemoteStore>(pc.remoteDir);
-      probe.attachRemote(probeRemote);
-    }
-    const std::optional<std::uint64_t> epoch = probe.newestCompleteEpoch();
-    if (epoch) {
-      resumedEngine = std::make_unique<ParallelEngine>(*model, sim.cet(), pc,
-                                                       probe, *epoch);
-      if (probe.remoteHeals() > 0)
-        std::printf("remote store: healed %llu epoch(s) from %s\n",
-                    static_cast<unsigned long long>(probe.remoteHeals()),
-                    pc.remoteDir.c_str());
-      std::printf("resumed from checkpoint epoch %llu at t = %.4e s\n",
-                  static_cast<unsigned long long>(*epoch),
-                  resumedEngine->time());
-    } else {
-      std::printf("resume requested but %s has no complete epoch; "
-                  "starting fresh\n",
-                  pc.checkpointDir.c_str());
-    }
+  if (resume) {
+    resumedEngine = std::make_unique<ParallelEngine>(*model, sim.cet(), pc,
+                                                     *resume->store,
+                                                     resume->epoch);
+    reportResume(deck, *resume, resumedEngine->time());
   }
   std::unique_ptr<ParallelEngine> freshEngine;
   if (!resumedEngine)
@@ -344,7 +379,7 @@ int runParallel(const InputDeck& deck, Simulation& sim) {
   sim.engine().publishTelemetry();
   if (sunwayModel) sunwayModel->collectTraffic();
   sim.publishMemoryTelemetry();
-  printRecoverySummary(engine.recoveryStats(), false);
+  printRecoverySummary(engine.recoveryStats());
   std::printf("done: %llu events over %llu cycles, %.4e simulated seconds, "
               "%.2f s wall\n",
               static_cast<unsigned long long>(engine.totalEvents()),
@@ -431,19 +466,7 @@ int main(int argc, char** argv) {
 
     Stopwatch setup;
     Simulation sim(config);
-    bool usedCheckpointBackup = false;
-    if (!deck.checkpointReadPath().empty()) {
-      usedCheckpointBackup =
-          sim.restoreCheckpointFromFile(deck.checkpointReadPath());
-      if (usedCheckpointBackup)
-        std::fprintf(stderr,
-                     "warning: %s was unreadable; resumed from the .bak "
-                     "replica\n",
-                     deck.checkpointReadPath().c_str());
-      std::printf("resumed from %s at t = %.4e s (%llu events)\n",
-                  deck.checkpointReadPath().c_str(), sim.time(),
-                  static_cast<unsigned long long>(sim.steps()));
-    }
+    const std::optional<ResumePoint> resume = probeResume(deck);
     std::printf("setup: %lld sites, %lld Cu, %lld vacancies (%.2f s)\n",
                 static_cast<long long>(sim.state().lattice().siteCount()),
                 static_cast<long long>(sim.state().countSpecies(Species::kCu)),
@@ -451,9 +474,8 @@ int main(int argc, char** argv) {
                     sim.state().countSpecies(Species::kVacancy)),
                 setup.seconds());
 
-    const int status = deck.parallelMode()
-                           ? runParallel(deck, sim)
-                           : runSerial(deck, sim, usedCheckpointBackup);
+    const int status = deck.parallelMode() ? runParallel(deck, sim, resume)
+                                           : runSerial(deck, sim, resume);
     if (faultScope) {
       for (const FaultInjector::PointReport& row : injector.report())
         std::printf("fault injection: %s fired %llu of %llu hit(s)\n",
