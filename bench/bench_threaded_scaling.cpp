@@ -15,7 +15,9 @@
 // contract — and (b) the threading machinery's overhead stays bounded
 // (threaded wall time <= 5x sequential on the same deck). Timing gauges
 // are excluded from the bench gate via tolerances.json; the determinism
-// and acceptance gauges are compared exactly.
+// and acceptance gauges are compared exactly. The delta halo's bytes per
+// cycle (strong.halo_bytes_per_cycle.*) repeat exactly for the fixed
+// deck and are gated by the gauges.bench.*bytes* rule.
 
 #include <algorithm>
 #include <cstdint>
@@ -57,6 +59,7 @@ struct Measurement {
   double seqSeconds = 0.0;
   double thrSeconds = 0.0;
   std::uint64_t events = 0;
+  double haloBytesPerCycle = 0.0;  // delta-halo traffic, same on both backends
   bool identical = false;  // threaded trajectory == sequential trajectory
 };
 
@@ -94,6 +97,8 @@ Measurement measure(Vec3i globalCells, std::int64_t vacancies, Vec3i grid) {
         seqHash = engine.assembleGlobalState().contentHash();
       }
       m.events = engine.totalEvents();
+      m.haloBytesPerCycle =
+          static_cast<double>(engine.haloBytesSent()) / kCycles;
     }
   }
   m.identical = seqHash == thrHash;
@@ -147,6 +152,8 @@ int main() {
         .set(static_cast<double>(s.events));
     reg.gauge("bench.threaded.strong.identical." + tag)
         .set(s.identical ? 1.0 : 0.0);
+    reg.gauge("bench.threaded.strong.halo_bytes_per_cycle." + tag)
+        .set(s.haloBytesPerCycle);
     reg.gauge("bench.threaded.strong.seq_seconds." + tag).set(s.seqSeconds);
     reg.gauge("bench.threaded.strong.thr_seconds." + tag).set(s.thrSeconds);
     reg.gauge("bench.threaded.strong.measured_speedup." + tag).set(speedup);

@@ -5,7 +5,7 @@
 # watchdog — a hung detector is the classic fail-stop bug — and
 # (b) report exactly one survived rank failure.
 #
-# Three phases:
+# Four phases:
 #   A. full-epoch shrink schedules (tools/chaos_deck.tkmc, no spares) with
 #      a background `comm.corrupt` probability, so ARQ retransmission and
 #      fail-stop detection are exercised together; ordinals sweep fold,
@@ -52,6 +52,14 @@ if [ ! -x "$BIN" ] || [ ! -x "$BLACKBOX" ] || [ ! -x "$SHARDCTL" ]; then
   echo "chaos_soak: $BIN, $BLACKBOX or $SHARDCTL not built (run cmake --build $BUILD_DIR first)" >&2
   exit 1
 fi
+
+# Protocol sends per cycle on the decks' 2x2x1 grid with cadence-1
+# checkpoints: fold 4x3 + halo 4x3 frames (one per adjacent rank, empty
+# ones included) + 3 commit votes + 3 commit acks. The kill ordinals below
+# derive from it; test_ghost_exchange pins it against a real engine.
+SENDS_PER_CYCLE=30
+# Kill-ordinal spread of phases A, B and D: ~3 cycles of traffic.
+SPREAD=$((3 * SENDS_PER_CYCLE - 4))
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/tkmc_chaos.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
@@ -127,32 +135,34 @@ fi
 
 echo "==> phase A: $ITERATIONS full-epoch shrink schedules (${WATCHDOG}s watchdog each)"
 for i in $(seq 1 "$ITERATIONS"); do
-  # Deterministic ordinal spread over ~3 cycles of protocol traffic
-  # (38 sends/cycle on the 2x2x1 grid), hitting every phase over the
-  # sweep; the seed varies the rank the ordinal lands on.
-  ordinal=$((1 + (i * 37) % 110))
+  # Deterministic ordinal spread over ~3 cycles of protocol traffic,
+  # hitting every phase over the sweep; the seed varies the rank the
+  # ordinal lands on.
+  ordinal=$((1 + (i * 37) % SPREAD))
   run_schedule "full_$i" "$FULL_DECK" "$i" "$ordinal" shrink \
       --inject comm.corrupt=p0.005
 done
 
 echo "==> phase B: delta-cadence grow schedules"
 for i in $(seq 1 6); do
-  ordinal=$((5 + (i * 31) % 110))
+  ordinal=$((5 + (i * 31) % SPREAD))
   run_schedule "delta_$i" "$DELTA_DECK" "$((100 + i))" "$ordinal" grow
 done
 
 echo "==> phase C: kills inside the consolidating commit"
-# With max_delta_chain 3 the first consolidating full epoch is epoch 4;
-# at 38 sends/cycle its commit votes are ordinals 147..149 and its acks
-# 150..152 (no background corruption here, so ordinals stay aligned).
-for ordinal in 147 148 149 150 151 152; do
+# With max_delta_chain 3 the first consolidating full epoch is epoch 4,
+# committed at the end of cycle 4: the last six sends of that cycle are
+# its three commit votes and three acks, ordinals 4*S-5 .. 4*S (115..120
+# at S = 30; no background corruption here, so ordinals stay aligned).
+for k in 5 4 3 2 1 0; do
+  ordinal=$((4 * SENDS_PER_CYCLE - k))
   run_schedule "consolidate_$ordinal" "$DELTA_DECK" "$((200 + ordinal))" \
       "$ordinal" grow
 done
 
 echo "==> phase D: $ITERATIONS remote node-loss schedules"
 for i in $(seq 1 "$ITERATIONS"); do
-  ordinal=$((3 + (i * 41) % 110))
+  ordinal=$((3 + (i * 41) % SPREAD))
   seed=$((300 + i))
   run_schedule "remote_$i" "$REMOTE_DECK" "$seed" "$ordinal" grow
   run_dir="$WORK/remote_$i"

@@ -22,8 +22,8 @@ class IoError : public Error {
 };
 
 /// Message-passing integrity failures: lost, corrupted, or mis-sequenced
-/// messages. Recoverable by retrying the exchange (GhostExchange) or
-/// rolling back and replaying the cycle (ParallelEngine).
+/// messages. Recoverable by retransmitting the message (the engine's
+/// ARQ receive) or rolling back and replaying the cycle (ParallelEngine).
 class CommError : public Error {
  public:
   explicit CommError(const std::string& what) : Error(what) {}

@@ -130,7 +130,7 @@ class SpeciesStore {
 
   /// Page fingerprints of an unpacked one-byte-per-site species run —
   /// identical to pageHashes() of a store holding that run. Checkpoint
-  /// shards carry their occupation as such runs (Subdomain::packCellBox
+  /// shards carry their occupation as such runs (Subdomain::ownedSpecies
   /// order), so the delta writer fingerprints them without building a
   /// store.
   static std::vector<std::uint32_t> runPageHashes(

@@ -739,7 +739,7 @@ LatticeState CheckpointStore::reassemble(const EpochManifest& manifest,
   LatticeState state(lattice);
   for (const ShardRecord& shard : shards) {
     std::size_t i = 0;
-    // Same traversal as Subdomain::packCellBox over the owned region.
+    // Same traversal as Subdomain::ownedSpecies: owned cells x-fastest.
     for (int cz = 0; cz < shard.extentCells.z; ++cz)
       for (int cy = 0; cy < shard.extentCells.y; ++cy)
         for (int cx = 0; cx < shard.extentCells.x; ++cx)

@@ -19,8 +19,9 @@ class SerialEngine;
 namespace tkmc {
 
 /// One rank's contribution to a coordinated checkpoint epoch: its owned
-/// subdomain occupation (packCellBox traversal order, one species byte
-/// per site — CET-packed to four sites per byte on disk), its vacancy
+/// subdomain occupation (Subdomain::ownedSpecies order: owned cells
+/// x-fastest, 2 sites per cell; one species byte per site, CET-packed to
+/// four sites per byte on disk), its vacancy
 /// list in engine order (the selection RNG addresses vacancies by
 /// index, so bit-exact resume needs the ordering, not just the
 /// occupation), and its RNG stream state.
@@ -33,7 +34,7 @@ struct ShardRecord {
   std::vector<std::uint8_t> species;
 
   /// Delta shards carry only the occupation pages (SpeciesStore page
-  /// geometry over the packCellBox run) that changed since the base
+  /// geometry over the owned-species run) that changed since the base
   /// epoch, instead of the full `species` run. RNG state and the vacancy
   /// order are always carried whole — they are tiny and change every
   /// cycle anyway.

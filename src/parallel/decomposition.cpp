@@ -1,5 +1,7 @@
 #include "parallel/decomposition.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace tkmc {
@@ -56,6 +58,19 @@ int Decomposition::ownerOfSite(Vec3i doubledCoord) const {
 int Decomposition::neighborRank(int rank, Vec3i dir) const {
   const Vec3i rc = rankCoord(rank);
   return rankAt({rc.x + dir.x, rc.y + dir.y, rc.z + dir.z});
+}
+
+std::vector<int> Decomposition::adjacentRanks(int rank) const {
+  std::vector<int> ranks;
+  for (int dz = -1; dz <= 1; ++dz)
+    for (int dy = -1; dy <= 1; ++dy)
+      for (int dx = -1; dx <= 1; ++dx) {
+        const int n = neighborRank(rank, {dx, dy, dz});
+        if (n != rank) ranks.push_back(n);
+      }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  return ranks;
 }
 
 Vec3i shrinkRankGrid(Vec3i grid, int survivors) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <vector>
+
 #include "lattice/vec3.hpp"
 
 namespace tkmc {
@@ -32,6 +34,13 @@ class Decomposition {
 
   /// Neighbour rank in direction `dir` (components in {-1, 0, 1}).
   int neighborRank(int rank, Vec3i dir) const;
+
+  /// The distinct ranks other than `rank` at rank-grid offsets in
+  /// {-1, 0, 1}^3 (at most 26), ascending. With a ghost shell narrower
+  /// than half a subdomain these are exactly the ranks whose extended
+  /// frames overlap this rank's: the only peers its boundary changes
+  /// can concern.
+  std::vector<int> adjacentRanks(int rank) const;
 
  private:
   Vec3i globalCells_;

@@ -15,6 +15,7 @@ namespace {
 constexpr int kTagFold = 50;
 constexpr int kTagVote = 60;    // commit-vote barrier: rank -> root
 constexpr int kTagCommit = 61;  // commit-vote barrier: root -> rank
+constexpr int kTagHalo = 100;   // delta halo (>= 100 traces as flow.ghost)
 
 // Static span names so the cycle span can be tagged with its sector
 // without allocating on the hot path.
@@ -132,9 +133,10 @@ void ParallelEngine::setupRemote() {
   streamer_ = std::make_unique<ShardStreamer>(store_->dir(), remote_, sc);
 }
 
-void ParallelEngine::afterCommit(std::uint64_t epoch) {
+void ParallelEngine::afterCommit(std::uint64_t epoch,
+                                 std::optional<std::uint64_t> previousFull) {
   if (!streamer_) return;
-  streamer_->enqueue(epoch);
+  streamer_->enqueue(epoch, previousFull);
   const int lag = streamer_->lagEpochs();
   if (telemetry::enabled()) {
     telemetry::metrics().gauge("checkpoint.remote_lag_epochs").set(
@@ -189,6 +191,7 @@ void ParallelEngine::buildFabric(const LatticeState& initial) {
     domains_.back().loadFrom(initial);
   }
   pendingChanges_.assign(static_cast<std::size_t>(rankCount()), {});
+  ownedChanges_.assign(static_cast<std::size_t>(rankCount()), {});
   cycleEvents_.assign(static_cast<std::size_t>(rankCount()), 0);
   cycleDiscarded_.assign(static_cast<std::size_t>(rankCount()), 0);
   rankEventOrdinals_.assign(static_cast<std::size_t>(rankCount()), 0);
@@ -206,7 +209,6 @@ void ParallelEngine::buildFabric(const LatticeState& initial) {
   // Rates become stale within the vacancy-system radius of a changed site.
   interactionRadius_ = (maxComp + 2) * lattice_.latticeConstant() / 2.0;
   expectedVacancies_ = vacancyCount();
-  fabric_->exchange.setMaxAttempts(config_.commMaxAttempts);
   if (config_.heartbeatTimeoutMs > 0.0)
     fabric_->comm.setLease(config_.heartbeatIntervalMs,
                            config_.heartbeatTimeoutMs);
@@ -510,105 +512,153 @@ std::vector<std::uint8_t> ParallelEngine::receiveReliable(
   }
 }
 
-void ParallelEngine::foldChanges() {
-  TKMC_SPAN("engine.fold");
+void ParallelEngine::routeChanges(
+    int tag, const std::vector<std::vector<Change>>& records,
+    const std::function<bool(int to, Vec3i site)>& routes,
+    const std::function<void(int rank, const Change&)>& apply,
+    std::atomic<std::uint64_t>& retryCounter, const char* what) {
   SimComm& comm = fabric_->comm;
+  const auto& neighbours = fabric_->neighbours;
   const auto ranks = static_cast<std::size_t>(rankCount());
   constexpr std::size_t kStride = 3 * sizeof(std::int32_t) + 1;
-  // The fold is four bulk-synchronous phases, each expressed as one job
-  // per rank: serialize, transmit, collect, apply. The threaded backend
-  // dispatches each phase across the rank threads with a barrier in
-  // between; sequential mode drives the identical jobs in rank order,
-  // so both backends produce the same channel traffic and the same
-  // owner-side application order (inbound is indexed by source rank,
-  // not arrival order).
-  std::vector<std::vector<std::vector<std::uint8_t>>> outbound(
-      ranks, std::vector<std::vector<std::uint8_t>>(ranks));
-  std::vector<std::vector<std::vector<std::uint8_t>>> inbound(
-      ranks, std::vector<std::vector<std::uint8_t>>(ranks));
+  // Four bulk-synchronous phases, each expressed as one job per rank:
+  // serialize, transmit, collect, apply. The threaded backend dispatches
+  // each phase across the rank threads with a barrier in between;
+  // sequential mode drives the identical jobs in rank order, so both
+  // backends produce the same channel traffic and the same receive-side
+  // application order (inbound is indexed by source rank, not arrival
+  // order). Frame k of rank r goes to / comes from neighbours[r][k].
+  std::vector<std::vector<std::vector<std::uint8_t>>> outbound(ranks);
+  std::vector<std::vector<std::vector<std::uint8_t>>> inbound(ranks);
 
-  // Phase 1: serialize boundary modifications per (source, owner) pair.
-  // The buffers outlive the sends so a failed delivery can be
-  // retransmitted verbatim.
+  // Phase 1: serialize. The buffers outlive the sends so a failed
+  // delivery can be retransmitted verbatim.
   const auto serialize = [&](int rank) {
     const auto r = static_cast<std::size_t>(rank);
-    for (const Change& c : pendingChanges_[r]) {
-      const int owner = fabric_->decomp.ownerOfSite(c.site);
-      if (owner == rank) continue;
-      auto& buf = outbound[r][static_cast<std::size_t>(owner)];
-      const std::int32_t coords[3] = {c.site.x, c.site.y, c.site.z};
-      const std::size_t at = buf.size();
-      buf.resize(at + sizeof(coords) + 1);
-      std::memcpy(buf.data() + at, coords, sizeof(coords));
-      buf[at + sizeof(coords)] = static_cast<std::uint8_t>(c.species);
+    const std::vector<int>& peers = neighbours[r];
+    outbound[r].assign(peers.size(), {});
+    for (const Change& c : records[r]) {
+      for (std::size_t k = 0; k < peers.size(); ++k) {
+        if (!routes(peers[k], c.site)) continue;
+        auto& buf = outbound[r][k];
+        const std::int32_t coords[3] = {c.site.x, c.site.y, c.site.z};
+        const std::size_t at = buf.size();
+        buf.resize(at + kStride);
+        std::memcpy(buf.data() + at, coords, sizeof(coords));
+        buf[at + sizeof(coords)] = static_cast<std::uint8_t>(c.species);
+      }
     }
   };
-  // Phase 2: transmit. Every rank sends exactly one fold message to
-  // every rank (possibly empty), so the receive side knows exactly what
+  // Phase 2: transmit. Every rank sends exactly one frame to every
+  // neighbour (possibly empty), so the receive side knows exactly what
   // to expect on each channel. A dead rank's sends silently no-op
   // (fail-stop), which is what the receive side's lease protocol
   // eventually detects.
   const auto transmit = [&](int rank) {
     const auto r = static_cast<std::size_t>(rank);
-    for (std::size_t to = 0; to < ranks; ++to)
-      comm.send(rank, static_cast<int>(to), kTagFold, outbound[r][to]);
+    for (std::size_t k = 0; k < neighbours[r].size(); ++k)
+      comm.send(rank, neighbours[r][k], tag, outbound[r][k]);
   };
   // Phase 3: collect and validate every payload before applying any of
-  // them. Fold application mutates vacancy lists and is not idempotent,
-  // so a failed receive must not leave a half-applied fold behind; with
-  // application deferred, a lost or corrupt frame is handled by purging
-  // that one channel and retransmitting from the buffered copy (ARQ).
-  // Only the acting (receiving) rank's liveness is consulted — a
+  // them. Application is not idempotent (the fold grows vacancy lists),
+  // so a failed receive must not leave a half-applied exchange behind;
+  // with application deferred, a lost or corrupt frame is handled by
+  // purging that one channel and retransmitting from the buffered copy
+  // (ARQ). Only the acting (receiving) rank's liveness is consulted — a
   // receiver must keep waiting on a silent source for the failure
   // detector to do its job.
   const auto collect = [&](int rank) {
     if (!comm.rankAlive(rank)) return;
     const auto r = static_cast<std::size_t>(rank);
-    for (std::size_t from = 0; from < ranks; ++from) {
-      inbound[r][from] =
-          receiveReliable(rank, static_cast<int>(from), kTagFold,
-                          outbound[from][r], foldRetries_, "fold");
-      if (inbound[r][from].size() % kStride != 0)
-        throw CommError("malformed fold payload from rank " +
-                        std::to_string(from) + " to rank " +
-                        std::to_string(rank));
+    const std::vector<int>& peers = neighbours[r];
+    inbound[r].assign(peers.size(), {});
+    for (std::size_t k = 0; k < peers.size(); ++k) {
+      const auto from = static_cast<std::size_t>(peers[k]);
+      // Adjacency is symmetric: find this rank's slot in the sender's list.
+      const auto& back = neighbours[from];
+      const auto slot = static_cast<std::size_t>(
+          std::lower_bound(back.begin(), back.end(), rank) - back.begin());
+      inbound[r][k] = receiveReliable(rank, peers[k], tag,
+                                      outbound[from][slot], retryCounter, what);
+      if (inbound[r][k].size() % kStride != 0)
+        throw CommError(std::string("malformed ") + what +
+                        " payload from rank " + std::to_string(from) +
+                        " to rank " + std::to_string(rank));
     }
   };
-  // Phase 4: owners apply the folded changes (each rank writes only its
-  // own subdomain, in source-rank order).
-  const auto apply = [&](int rank) {
+  // Phase 4: apply (each rank writes only its own subdomain and lists).
+  const auto applyAll = [&](int rank) {
     if (!comm.rankAlive(rank)) return;
-    const auto r = static_cast<std::size_t>(rank);
-    Subdomain& sd = domains_[r];
-    for (std::size_t from = 0; from < ranks; ++from) {
-      const auto& payload = inbound[r][from];
+    for (const auto& payload : inbound[static_cast<std::size_t>(rank)]) {
       for (std::size_t off = 0; off < payload.size(); off += kStride) {
         std::int32_t coords[3];
         std::memcpy(coords, payload.data() + off, sizeof(coords));
-        const Vec3i site{coords[0], coords[1], coords[2]};
-        const auto species =
-            static_cast<Species>(payload[off + sizeof(coords)]);
-        require(sd.owns(site), "fold routed to wrong owner");
-        const Species before = sd.at(site);
-        sd.set(site, species);
-        if (species == Species::kVacancy && before != Species::kVacancy)
-          sd.vacancies().push_back(lattice_.wrap(site));
+        apply(rank, {{coords[0], coords[1], coords[2]},
+                     static_cast<Species>(payload[off + sizeof(coords)])});
       }
     }
-    pendingChanges_[r].clear();
   };
 
   if (team_) {
     team_->run(serialize);
     team_->run(transmit);
     team_->run(collect);
-    team_->run(apply);
+    team_->run(applyAll);
   } else {
     for (std::size_t r = 0; r < ranks; ++r) serialize(static_cast<int>(r));
     for (std::size_t r = 0; r < ranks; ++r) transmit(static_cast<int>(r));
     for (std::size_t r = 0; r < ranks; ++r) collect(static_cast<int>(r));
-    for (std::size_t r = 0; r < ranks; ++r) apply(static_cast<int>(r));
+    for (std::size_t r = 0; r < ranks; ++r) applyAll(static_cast<int>(r));
   }
+}
+
+void ParallelEngine::foldChanges() {
+  TKMC_SPAN("engine.fold");
+  const Decomposition& decomp = fabric_->decomp;
+  // An owner's own changes to owned sites are already in place; they
+  // open its list of changed owned sites for the halo.
+  for (std::size_t r = 0; r < pendingChanges_.size(); ++r) {
+    ownedChanges_[r].clear();
+    for (const Change& c : pendingChanges_[r])
+      if (decomp.ownerOfSite(c.site) == static_cast<int>(r))
+        ownedChanges_[r].push_back(c);
+  }
+  routeChanges(
+      kTagFold, pendingChanges_,
+      [&](int to, Vec3i site) { return decomp.ownerOfSite(site) == to; },
+      [&](int rank, const Change& c) {
+        Subdomain& sd = domains_[static_cast<std::size_t>(rank)];
+        require(sd.owns(c.site), "fold routed to wrong owner");
+        const Species before = sd.at(c.site);
+        sd.set(c.site, c.species);
+        if (c.species == Species::kVacancy && before != Species::kVacancy)
+          sd.vacancies().push_back(lattice_.wrap(c.site));
+        ownedChanges_[static_cast<std::size_t>(rank)].push_back(c);
+      },
+      foldRetries_, "fold");
+}
+
+void ParallelEngine::syncHalo() {
+  TKMC_SPAN("engine.ghost_exchange");
+  // Ghost shells were consistent at the start of the cycle (buildFabric
+  // fills them whole; rollback restores whole domains), and sector
+  // separation means no two ranks changed the same site, so the owned
+  // changes are the whole difference.
+  const std::uint64_t bytesBefore = fabric_->comm.totalBytesSent();
+  routeChanges(
+      kTagHalo, ownedChanges_,
+      [&](int to, Vec3i site) {
+        return domains_[static_cast<std::size_t>(to)].covers(site);
+      },
+      [&](int rank, const Change& c) {
+        Subdomain& sd = domains_[static_cast<std::size_t>(rank)];
+        require(!sd.owns(c.site), "halo record for an owned site");
+        sd.set(c.site, c.species);
+      },
+      ghostRetries_, "halo");
+  haloBytes_ += fabric_->comm.totalBytesSent() - bytesBefore;
+  for (auto& changes : pendingChanges_) changes.clear();
+  for (auto& changes : ownedChanges_) changes.clear();
 }
 
 ShardRecord ParallelEngine::makeShard(int rank) const {
@@ -619,10 +669,7 @@ ShardRecord ParallelEngine::makeShard(int rank) const {
   shard.extentCells = sd.extentCells();
   shard.rngState = rngs_[static_cast<std::size_t>(rank)].state();
   shard.vacancyOrder = sd.vacancies();
-  const Vec3i g = sd.ghostCellsVec();
-  const Vec3i e = sd.extentCells();
-  shard.species =
-      sd.packCellBox({g.x, g.y, g.z}, {g.x + e.x, g.y + e.y, g.z + e.z});
+  shard.species = sd.ownedSpecies();
   return shard;
 }
 
@@ -749,11 +796,13 @@ void ParallelEngine::writeEpoch(bool barrier) {
       baseline_.chainDepth = delta ? baseline_.chainDepth + 1 : 0;
       baseline_.rankGrid = fabric_->decomp.rankGrid();
       baseline_.pageHashes = std::move(newHashes);
+      std::optional<std::uint64_t> previousFull;
       if (!delta) {
-        store_->gcSuperseded(epoch, baseline_.lastFull);
+        previousFull = baseline_.lastFull;
+        store_->gcSuperseded(epoch, previousFull);
         baseline_.lastFull = epoch;
       }
-      afterCommit(epoch);
+      afterCommit(epoch, previousFull);
     };
     if (!barrier) {
       adoptBaseline(store_->commitEpoch(manifest));
@@ -830,7 +879,7 @@ void ParallelEngine::executeCycle() {
       eventsByType_[t] += cycleEventsByType_[r][t];
   }
   foldChanges();
-  fabric_->exchange.exchangeAll(domains_, team_.get());
+  syncHalo();
   time_ += config_.tStop;
   ++cycles_;
   if (store_ && config_.checkpointCadence > 0 &&
@@ -884,6 +933,7 @@ void ParallelEngine::restoreSnapshot() {
   eventsByType_ = snapshot_.eventsByType;
   baseline_ = snapshot_.baseline;
   for (auto& changes : pendingChanges_) changes.clear();
+  for (auto& changes : ownedChanges_) changes.clear();
   fabric_->comm.resetAllChannels();
 }
 
@@ -1039,7 +1089,7 @@ void ParallelEngine::runCycle() {
 
 RecoveryStats ParallelEngine::recoveryStats() const {
   RecoveryStats stats = recovery_;
-  stats.ghostRetries = fabric_->exchange.retries();
+  stats.ghostRetries = ghostRetries_.load(std::memory_order_relaxed);
   stats.foldRetries = foldRetries_.load(std::memory_order_relaxed);
   return stats;
 }

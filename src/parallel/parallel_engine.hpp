@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -15,7 +16,6 @@
 #include "parallel/coordinated_checkpoint.hpp"
 #include "parallel/decomposition.hpp"
 #include "parallel/remote_store.hpp"
-#include "parallel/ghost_exchange.hpp"
 #include "parallel/rank_team.hpp"
 #include "parallel/sim_comm.hpp"
 #include "parallel/subdomain.hpp"
@@ -50,8 +50,9 @@ struct ParallelConfig {
 
   // Execution backend. false: ranks are driven sequentially in-process
   // (the historical runtime). true: one OS thread per rank (RankTeam)
-  // executes the sector windows, fold serialize/send/receive/apply, and
-  // per-axis ghost halves concurrently, with a barrier between phases.
+  // executes the sector windows and the four phases of the fold and of
+  // the halo (serialize/send/receive/apply) concurrently, with a barrier
+  // between phases.
   // The bulk-synchronous schedule, per-rank RNG streams, and
   // rank-ordered reductions make a fault-free threaded trajectory
   // bit-identical to the sequential one for the same deck + seed.
@@ -65,7 +66,7 @@ struct ParallelConfig {
   // with recovery on or off.
   bool enableRecovery = true;
   int maxReplays = 3;       // replays per cycle before the error surfaces
-  int commMaxAttempts = 4;  // per-message delivery attempts (ghost + fold)
+  int commMaxAttempts = 4;  // per-message delivery attempts (halo + fold)
   int invariantCadence = 0; // full ghost-consistency sweep every N cycles
                             // (0 = off; vacancy conservation and
                             // propensity sanity are always monitored)
@@ -120,7 +121,7 @@ struct RecoveryStats {
   std::uint64_t rollbacks = 0;       // cycles rolled back and replayed
   std::uint64_t invariantTrips = 0;  // invariant-monitor failures observed
   std::uint64_t commErrors = 0;      // comm failures that reached the engine
-  std::uint64_t ghostRetries = 0;    // retransmissions inside GhostExchange
+  std::uint64_t ghostRetries = 0;    // retransmissions of halo frames
   std::uint64_t foldRetries = 0;     // retransmissions in the fold phase
   std::uint64_t rankFailures = 0;    // fail-stops detected and survived
   std::uint64_t epochsRolledBack = 0; // cycles re-run due to shrink recovery
@@ -144,12 +145,14 @@ std::uint64_t recoverySeed(std::uint64_t seed, std::uint64_t epoch,
 /// Each cycle: every rank evolves the vacancies of the active sector
 /// (one of the eight octants of its subdomain, rotating per cycle) for a
 /// window of t_stop; boundary modifications are folded back to their
-/// owners; ghost shells are re-broadcast. Sector geometry guarantees that
+/// owners; each owner then sends the owned sites that changed this cycle
+/// to the adjacent ranks whose ghost shells hold them (the delta halo:
+/// O(events) traffic, not O(boundary volume)). Sector geometry guarantees that
 /// concurrently active regions of different ranks are farther apart than
 /// the interaction range, so no hops can conflict.
 ///
 /// Fail-stop tolerance (config.checkpointDir + heartbeatTimeoutMs): when
-/// a RankFailure surfaces from a fold, ghost, or commit-barrier receive,
+/// a RankFailure surfaces from a fold, halo, or commit-barrier receive,
 /// the survivors agree on the newest complete checkpoint epoch and first
 /// try to *grow* back: with spare ranks available (config.spareRanks)
 /// replacements are admitted and the epoch's rank grid is kept
@@ -225,6 +228,10 @@ class ParallelEngine {
   /// Absorbed-failure counters (rollbacks, invariant trips, retries).
   RecoveryStats recoveryStats() const;
 
+  /// Bytes the halo has sent over the engine's lifetime (ARQ resends
+  /// included; the fabric's comm totals also hold fold and vote traffic).
+  std::uint64_t haloBytesSent() const { return haloBytes_; }
+
   /// The checkpoint store, or nullptr when checkpointing is off.
   const CheckpointStore* checkpointStore() const { return store_.get(); }
 
@@ -277,15 +284,18 @@ class ParallelEngine {
   };
 
   /// The rebuildable communication fabric. Shrink recovery replaces the
-  /// whole bundle at once: GhostExchange holds references into its
-  /// sibling members, so the three live and die together.
+  /// whole bundle at once, so the adjacency always matches the grid.
   struct Fabric {
     Decomposition decomp;
     SimComm comm;
-    GhostExchange exchange;
+    // Per rank, the adjacent ranks (Decomposition::adjacentRanks): the
+    // peers of every fold and halo exchange, from geometry alone.
+    std::vector<std::vector<int>> neighbours;
     Fabric(Vec3i globalCells, Vec3i rankGrid)
-        : decomp(globalCells, rankGrid), comm(decomp.rankCount()),
-          exchange(decomp, comm) {}
+        : decomp(globalCells, rankGrid), comm(decomp.rankCount()) {
+      for (int r = 0; r < decomp.rankCount(); ++r)
+        neighbours.push_back(decomp.adjacentRanks(r));
+    }
   };
 
   /// Builds fabric + empty domains for config_.rankGrid, validates
@@ -297,7 +307,25 @@ class ParallelEngine {
   void takeSnapshot();
   void restoreSnapshot();
   void runSector(int rank, int sector);
+  /// One routed change-record exchange between adjacent ranks, in four
+  /// bulk-synchronous phases (one job per rank each): serialize every
+  /// record of `records[r]` for each neighbour `to` with routes(to,
+  /// site); transmit exactly one frame, possibly empty, to every
+  /// neighbour; collect every inbound frame through receiveReliable (ARQ
+  /// on `tag`, lease-aware); then apply(r, change) for each inbound
+  /// record, in ascending source rank and then record order.
+  void routeChanges(int tag, const std::vector<std::vector<Change>>& records,
+                    const std::function<bool(int to, Vec3i site)>& routes,
+                    const std::function<void(int rank, const Change&)>& apply,
+                    std::atomic<std::uint64_t>& retryCounter,
+                    const char* what);
+  /// Fold: boundary modifications to their owners, which also collect
+  /// every owned site that changed this cycle into ownedChanges_.
   void foldChanges();
+  /// Delta halo: each owner sends ownedChanges_ to the neighbours whose
+  /// extended frames cover the sites, which write them into their ghost
+  /// shells.
+  void syncHalo();
   /// Stages every rank's shard, runs the commit-vote barrier, and
   /// atomically publishes epoch `cycles_`. `barrier` is false only for
   /// the construction-time epoch (single-threaded, nothing in flight).
@@ -305,14 +333,16 @@ class ParallelEngine {
   /// Arms the remote store + streamer when both checkpointDir and
   /// remoteDir are configured; called from both constructors.
   void setupRemote();
-  /// Post-commit hook: queues the epoch for streaming, publishes the
+  /// Post-commit hook: queues the epoch for streaming (a full epoch with
+  /// the full epoch it supersedes, for remote retention), publishes the
   /// remote-lag gauge, and throttles (bounded) past the lag cap.
-  void afterCommit(std::uint64_t epoch);
+  void afterCommit(std::uint64_t epoch,
+                   std::optional<std::uint64_t> previousFull);
   ShardRecord makeShard(int rank) const;
   void commitVoteBarrier(std::uint64_t epoch);
-  /// Lease-aware ARQ receive shared by fold and commit-barrier traffic.
-  /// The retry counter is atomic because fold receives of different
-  /// ranks run concurrently in the threaded backend.
+  /// Lease-aware ARQ receive shared by fold, halo and commit-barrier
+  /// traffic. The retry counter is atomic because fold and halo receives
+  /// of different ranks run concurrently in the threaded backend.
   std::vector<std::uint8_t> receiveReliable(
       int rank, int from, int tag, const std::vector<std::uint8_t>& resend,
       std::atomic<std::uint64_t>& retryCounter, const char* what);
@@ -339,6 +369,10 @@ class ParallelEngine {
   std::vector<Subdomain> domains_;
   std::vector<Rng> rngs_;
   std::vector<std::vector<Change>> pendingChanges_;  // per rank, this cycle
+  // Per rank, the owned sites that changed this cycle: its own changes
+  // to owned sites, then the fold records it received. Filled by the
+  // fold, sent by the halo, cleared with pendingChanges_.
+  std::vector<std::vector<Change>> ownedChanges_;
   // Rank threads (threaded backend only; null in sequential mode).
   // Rebuilt with the fabric: the team size tracks the live rank count.
   std::unique_ptr<RankTeam> team_;
@@ -357,6 +391,8 @@ class ParallelEngine {
   // global ordinal would depend on thread interleaving).
   std::vector<std::uint64_t> rankEventOrdinals_;
   std::atomic<std::uint64_t> foldRetries_{0};
+  std::atomic<std::uint64_t> ghostRetries_{0};
+  std::uint64_t haloBytes_ = 0;
   double time_ = 0.0;
   std::uint64_t cycles_ = 0;
   std::uint64_t events_ = 0;

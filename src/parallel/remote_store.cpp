@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -90,6 +91,14 @@ std::vector<std::string> DirRemoteStore::listFiles(
   return out;
 }
 
+void DirRemoteStore::remove(const std::string& epochDir) {
+  std::error_code ec;
+  fs::remove_all(fs::path(root_) / epochDir, ec);
+  if (ec)
+    throw IoError("remote store: cannot remove " + epochDir + ": " +
+                  ec.message());
+}
+
 std::optional<RemoteShardStore::Stat> DirRemoteStore::stat(
     const std::string& epochDir, const std::string& file) const {
   std::error_code ec;
@@ -160,10 +169,11 @@ ShardStreamer::~ShardStreamer() {
   if (worker_.joinable()) worker_.join();
 }
 
-void ShardStreamer::enqueue(std::uint64_t epoch) {
+void ShardStreamer::enqueue(std::uint64_t epoch,
+                            std::optional<std::uint64_t> previousFull) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(epoch);
+    queue_.push_back({epoch, previousFull});
   }
   cv_.notify_all();
 }
@@ -208,16 +218,16 @@ std::uint64_t ShardStreamer::gaveUp() const {
 
 void ShardStreamer::threadMain() {
   for (;;) {
-    std::uint64_t epoch = 0;
+    Job job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
       if (stop_ && queue_.empty()) return;
-      epoch = queue_.front();
+      job = queue_.front();
       queue_.pop_front();
       inFlight_ = true;
     }
-    const bool ok = streamEpoch(epoch);
+    const bool ok = streamEpoch(job);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       inFlight_ = false;
@@ -233,7 +243,8 @@ void ShardStreamer::threadMain() {
   }
 }
 
-bool ShardStreamer::streamEpoch(std::uint64_t epoch) {
+bool ShardStreamer::streamEpoch(const Job& job) {
+  const std::uint64_t epoch = job.epoch;
   const std::string epochDir = "epoch_" + std::to_string(epoch);
   const fs::path local = fs::path(localDir_) / epochDir;
 
@@ -317,7 +328,28 @@ bool ShardStreamer::streamEpoch(std::uint64_t epoch) {
                     salt * 1000003ULL + 999))
     return false;
   countRemote("remote.epochs_streamed");
+  if (job.previousFull) gcSuperseded(epoch, *job.previousFull);
   return true;
+}
+
+void ShardStreamer::gcSuperseded(std::uint64_t full,
+                                 std::uint64_t previousFull) {
+  for (const std::string& name : remote_->listEpochs()) {
+    std::uint64_t epoch = 0;
+    char trailing = 0;
+    if (std::sscanf(name.c_str(), "epoch_%" SCNu64 "%c", &epoch, &trailing) !=
+        1)
+      continue;  // not an epoch directory of ours
+    if (epoch >= full || epoch == previousFull) continue;
+    // Best effort: a failed delete leaves an extra epoch behind, which
+    // the next full epoch's pass retries.
+    try {
+      remote_->remove(name);
+      countRemote("remote.epochs_removed");
+    } catch (const IoError&) {
+      countRemote("remote.remove_failures");
+    }
+  }
 }
 
 }  // namespace tkmc

@@ -20,7 +20,7 @@ namespace tkmc {
 /// the layout CheckpointStore commits locally, so a remote epoch is a
 /// verbatim mirror. Today the only implementation is a separate
 /// directory tree (DirRemoteStore); an object store (S3-style
-/// put/get/list/stat) can implement the same five calls later.
+/// put/get/list/stat/delete) can implement the same six calls later.
 ///
 /// put/get throw IoError on failure; list degrades to empty.
 class RemoteShardStore {
@@ -45,6 +45,10 @@ class RemoteShardStore {
   /// File names within one remote epoch directory.
   virtual std::vector<std::string> listFiles(
       const std::string& epochDir) const = 0;
+
+  /// Deletes a whole remote epoch directory (retention); an absent one
+  /// is not an error. Throws IoError when the delete fails.
+  virtual void remove(const std::string& epochDir) = 0;
 
   /// Size of a remote object, or nullopt when absent.
   virtual std::optional<Stat> stat(const std::string& epochDir,
@@ -71,6 +75,7 @@ class DirRemoteStore : public RemoteShardStore {
                   const std::string& file) const override;
   std::vector<std::string> listEpochs() const override;
   std::vector<std::string> listFiles(const std::string& epochDir) const override;
+  void remove(const std::string& epochDir) override;
   std::optional<Stat> stat(const std::string& epochDir,
                            const std::string& file) const override;
   std::string describe() const override { return root_; }
@@ -118,6 +123,11 @@ PlacementMap parsePlacement(const std::string& contents,
 /// the whole epoch is given up (counted, never retried) so a dead
 /// remote degrades to a bounded amount of wasted work instead of a
 /// wedged queue. An optional rate cap (MB/s) paces the copies.
+///
+/// Retention follows the local store's rule (CheckpointStore::
+/// gcSuperseded): once a full epoch F is mirrored, every older remote
+/// epoch except the previous full one is removed, so the mirror holds
+/// the same epochs as the local store instead of one per commit.
 class ShardStreamer {
  public:
   struct Config {
@@ -133,8 +143,13 @@ class ShardStreamer {
   ShardStreamer(const ShardStreamer&) = delete;
   ShardStreamer& operator=(const ShardStreamer&) = delete;
 
-  /// Queues a committed epoch for streaming. Non-blocking.
-  void enqueue(std::uint64_t epoch);
+  /// Queues a committed epoch for streaming. Non-blocking. A full epoch
+  /// passes the full epoch it supersedes as `previousFull`; once it is
+  /// mirrored, older remote epochs other than that one are removed
+  /// (nullopt for delta epochs, and for a full epoch whose predecessor
+  /// is unknown: nothing is removed).
+  void enqueue(std::uint64_t epoch,
+               std::optional<std::uint64_t> previousFull = std::nullopt);
 
   /// Epochs enqueued but not yet streamed (queue depth + in-flight).
   int lagEpochs() const;
@@ -156,7 +171,13 @@ class ShardStreamer {
 
  private:
   void threadMain();
-  bool streamEpoch(std::uint64_t epoch);
+  struct Job {
+    std::uint64_t epoch = 0;
+    std::optional<std::uint64_t> previousFull;
+  };
+  bool streamEpoch(const Job& job);
+  /// Removes remote epochs older than `full` except `previousFull`.
+  void gcSuperseded(std::uint64_t full, std::uint64_t previousFull);
 
   std::string localDir_;
   std::shared_ptr<RemoteShardStore> remote_;
@@ -164,7 +185,7 @@ class ShardStreamer {
 
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;
-  std::deque<std::uint64_t> queue_;
+  std::deque<Job> queue_;
   bool inFlight_ = false;
   bool stop_ = false;
   std::uint64_t streamed_ = 0;

@@ -19,7 +19,7 @@ std::string channelName(int from, int to, int tag) {
 
 // Flow-event name per message class so the trace UI groups arrows by
 // protocol. Tag values match the engine's channel map (DESIGN.md §14):
-// fold 50, commit votes 60/61, ghost-exchange slabs >= 100.
+// fold 50, commit votes 60/61, delta-halo frames >= 100.
 const char* flowName(int tag) {
   if (tag == 50) return "flow.fold";
   if (tag == 60) return "flow.vote";

@@ -40,8 +40,8 @@ namespace tkmc {
 /// send time; each probe passes the channel key (from, to, tag), so an
 /// injector in channel-stream mode fires independently per channel and
 /// a seeded chaos run reproduces identically regardless of thread
-/// interleaving. Retry protocols (GhostExchange, the engine's cycle
-/// rollback) call resetChannels()/resetAllChannels() before re-sending
+/// interleaving. Retry protocols (the engine's per-message ARQ, its cycle
+/// rollback) call resetChannel()/resetAllChannels() before re-sending
 /// so stale frames and sequence state cannot leak across attempts.
 ///
 /// Fail-stop ranks: the fault point "comm.rank_kill" fires at send time

@@ -1,5 +1,7 @@
 #include "parallel/subdomain.hpp"
 
+#include <cstring>
+
 #include "common/error.hpp"
 
 namespace tkmc {
@@ -110,35 +112,12 @@ void Subdomain::rescanVacancies() {
         }
 }
 
-std::vector<std::uint8_t> Subdomain::packCellBox(Vec3i lo, Vec3i hi) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(static_cast<std::size_t>(hi.x - lo.x) * (hi.y - lo.y) *
-              (hi.z - lo.z) * 2);
-  for (int cz = lo.z; cz < hi.z; ++cz)
-    for (int cy = lo.y; cy < hi.y; ++cy)
-      for (int cx = lo.x; cx < hi.x; ++cx)
-        for (int sub = 0; sub < 2; ++sub) {
-          const Vec3i f = frameSite({cx, cy, cz}, sub);
-          out.push_back(static_cast<std::uint8_t>(
-              species_[static_cast<std::size_t>(indexer_.indexOf(f))]));
-        }
+std::vector<std::uint8_t> Subdomain::ownedSpecies() const {
+  static_assert(sizeof(Species) == 1, "one species byte per site");
+  std::vector<std::uint8_t> out(
+      static_cast<std::size_t>(indexer_.localSiteCount()));
+  std::memcpy(out.data(), species_.data(), out.size());
   return out;
-}
-
-void Subdomain::unpackCellBox(Vec3i lo, Vec3i hi,
-                              const std::vector<std::uint8_t>& data) {
-  const std::size_t expected = static_cast<std::size_t>(hi.x - lo.x) *
-                               (hi.y - lo.y) * (hi.z - lo.z) * 2;
-  require(data.size() == expected, "ghost payload has wrong size");
-  std::size_t i = 0;
-  for (int cz = lo.z; cz < hi.z; ++cz)
-    for (int cy = lo.y; cy < hi.y; ++cy)
-      for (int cx = lo.x; cx < hi.x; ++cx)
-        for (int sub = 0; sub < 2; ++sub) {
-          const Vec3i f = frameSite({cx, cy, cz}, sub);
-          species_[static_cast<std::size_t>(indexer_.indexOf(f))] =
-              static_cast<Species>(data[i++]);
-        }
 }
 
 }  // namespace tkmc

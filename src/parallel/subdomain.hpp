@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "lattice/bcc_lattice.hpp"
@@ -47,13 +48,10 @@ class Subdomain {
   /// Rebuilds the vacancy list by scanning the owned region.
   void rescanVacancies();
 
-  /// Packs the species of every site whose unit cell lies in the
-  /// extended-frame cell box [lo, hi) (cells counted from the extended
-  /// origin). Deterministic x-fastest order, 2 sites per cell.
-  std::vector<std::uint8_t> packCellBox(Vec3i lo, Vec3i hi) const;
-
-  /// Unpacks a payload produced by packCellBox() for the same-shaped box.
-  void unpackCellBox(Vec3i lo, Vec3i hi, const std::vector<std::uint8_t>& data);
+  /// Species of the owned sites, one byte each: `species_[0, N)` of the
+  /// Eq.-4 layout, i.e. owned cells x-fastest, 2 sites per cell — the
+  /// shard occupation run.
+  std::vector<std::uint8_t> ownedSpecies() const;
 
   Vec3i originCells() const { return indexer_.originCells(); }
   Vec3i extentCells() const { return indexer_.extentCells(); }

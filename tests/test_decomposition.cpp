@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace tkmc {
@@ -69,6 +72,31 @@ TEST(Decomposition, NeighborRanksWrap) {
   EXPECT_EQ(d.neighborRank(0, {0, 1, 0}), 2);
   EXPECT_EQ(d.neighborRank(0, {0, 0, 1}), 4);
   EXPECT_EQ(d.neighborRank(0, {1, 1, 1}), 7);
+}
+
+// The fold and halo peers: distinct ranks at grid offsets in {-1,0,1}^3,
+// ascending, never the rank itself; a 2-wide axis reaches one rank on
+// both sides, a 1-wide axis none.
+TEST(Decomposition, AdjacentRanksAreDistinctSortedAndSymmetric) {
+  struct Case {
+    Vec3i grid;
+    std::size_t adjacent;
+  };
+  for (const Case& c : {Case{{1, 1, 1}, 0}, Case{{2, 1, 1}, 1},
+                        Case{{2, 2, 1}, 3}, Case{{2, 2, 2}, 7},
+                        Case{{4, 2, 2}, 11}, Case{{3, 3, 3}, 26}}) {
+    const Decomposition d({12, 12, 12}, c.grid);
+    for (int r = 0; r < d.rankCount(); ++r) {
+      const std::vector<int> adj = d.adjacentRanks(r);
+      EXPECT_EQ(adj.size(), c.adjacent);
+      EXPECT_TRUE(std::is_sorted(adj.begin(), adj.end()));
+      EXPECT_EQ(std::find(adj.begin(), adj.end(), r), adj.end());
+      for (const int n : adj) {
+        const std::vector<int> back = d.adjacentRanks(n);
+        EXPECT_TRUE(std::binary_search(back.begin(), back.end(), r));
+      }
+    }
+  }
 }
 
 TEST(GrowRankGrid, EnoughSparesKeepTheOriginalGrid) {

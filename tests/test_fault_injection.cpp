@@ -4,8 +4,6 @@
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "parallel/ghost_exchange.hpp"
 #include "parallel/sim_comm.hpp"
 
 namespace tkmc {
@@ -243,85 +241,6 @@ TEST(SimCommFaults, ResetChannelsPurgesPendingAndSequences) {
   // Sequence tracking restarts at zero on the purged channel.
   comm.send(0, 1, 7, bytes({3}));
   EXPECT_EQ(comm.receive(1, 0, 7), bytes({3}));
-}
-
-// --- GhostExchange retry absorbs injected comm faults ---
-
-struct ExchangeWorld {
-  ExchangeWorld()
-      : lat(12, 12, 12, 2.87), global(lat), decomp({12, 12, 12}, {2, 2, 2}),
-        comm(decomp.rankCount()), exchange(decomp, comm) {
-    Rng rng(5);
-    global.randomAlloy(0.3, 7, rng);
-    for (int r = 0; r < decomp.rankCount(); ++r) {
-      domains.emplace_back(lat, decomp.originCells(r), decomp.extentCells(), 2);
-      domains.back().loadFrom(global);
-    }
-  }
-
-  bool ghostsMatchGlobal() const {
-    for (int r = 0; r < decomp.rankCount(); ++r) {
-      const Subdomain& sd = domains[static_cast<std::size_t>(r)];
-      const Vec3i o = decomp.originCells(r);
-      const Vec3i e = sd.extentCells();
-      const int g = sd.ghostCells();
-      for (int cz = -g; cz < e.z + g; ++cz)
-        for (int cy = -g; cy < e.y + g; ++cy)
-          for (int cx = -g; cx < e.x + g; ++cx)
-            for (int sub = 0; sub < 2; ++sub) {
-              const Vec3i p{2 * (o.x + cx) + sub, 2 * (o.y + cy) + sub,
-                            2 * (o.z + cz) + sub};
-              if (sd.at(p) != global.speciesAt(p)) return false;
-            }
-    }
-    return true;
-  }
-
-  BccLattice lat;
-  LatticeState global;
-  Decomposition decomp;
-  SimComm comm;
-  GhostExchange exchange;
-  std::vector<Subdomain> domains;
-};
-
-TEST(GhostExchangeFaults, RetriesThroughCorruptedSlab) {
-  ExchangeWorld w;
-  FaultInjector inj(11);
-  inj.armSchedule("comm.corrupt", {3});  // one ghost slab corrupted
-  FaultScope scope(inj);
-  w.exchange.exchangeAll(w.domains);
-  EXPECT_GE(w.exchange.retries(), 1u);
-  EXPECT_TRUE(w.ghostsMatchGlobal());
-}
-
-TEST(GhostExchangeFaults, RetriesThroughDroppedSlab) {
-  ExchangeWorld w;
-  FaultInjector inj(12);
-  inj.armSchedule("comm.drop", {10});
-  FaultScope scope(inj);
-  w.exchange.exchangeAll(w.domains);
-  EXPECT_GE(w.exchange.retries(), 1u);
-  EXPECT_TRUE(w.ghostsMatchGlobal());
-}
-
-TEST(GhostExchangeFaults, BoundedRetriesThenTypedError) {
-  ExchangeWorld w;
-  w.exchange.setMaxAttempts(2);
-  FaultInjector inj(13);
-  inj.armProbability("comm.corrupt", 1.0);  // every message corrupt
-  FaultScope scope(inj);
-  EXPECT_THROW(w.exchange.exchangeAll(w.domains), CommError);
-}
-
-TEST(GhostExchangeFaults, DisarmedInjectionIsFree) {
-  ExchangeWorld w;
-  FaultInjector inj(14);  // installed but nothing armed
-  FaultScope scope(inj);
-  w.exchange.exchangeAll(w.domains);
-  EXPECT_EQ(w.exchange.retries(), 0u);
-  EXPECT_EQ(w.comm.crcFailures(), 0u);
-  EXPECT_TRUE(w.ghostsMatchGlobal());
 }
 
 }  // namespace

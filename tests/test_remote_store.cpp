@@ -438,6 +438,44 @@ TEST(RemoteEngine, NodeLossResumeFromRemoteMatchesIntactLocalResume) {
   EXPECT_TRUE(resumedA.assembleGlobalState() == resumedB.assembleGlobalState());
 }
 
+// The mirror keeps what the local store keeps: once a full epoch is
+// mirrored, older remote epochs other than the previous full one go
+// (CheckpointStore::gcSuperseded's rule), so a long run no longer grows
+// the remote by one directory per commit.
+TEST(RemoteEngine, RemoteRetentionMatchesTheLocalStore) {
+  for (const CheckpointMode mode : {CheckpointMode::kFull,
+                                    CheckpointMode::kDelta}) {
+    const bool delta = mode == CheckpointMode::kDelta;
+    SCOPED_TRACE(delta ? "delta" : "full");
+    const std::string dir = tempDir("tkmc_retention_local");
+    const std::string remoteDir = tempDir("tkmc_retention_remote");
+    ParallelWorld w(73);
+    EamEnergyModel model(w.cet, w.net, w.eam);
+    ParallelConfig cfg = remoteConfig(83, dir, remoteDir);
+    cfg.checkpointMode = mode;
+    cfg.maxDeltaChain = 3;
+    std::vector<std::uint64_t> local;
+    {
+      ParallelEngine engine(w.state, model, w.cet, cfg);
+      for (int c = 0; c < 11; ++c) engine.runCycle();
+      ASSERT_TRUE(engine.shardStreamer()->drain(30000.0));
+      ASSERT_EQ(engine.shardStreamer()->gaveUp(), 0u);
+      local = engine.checkpointStore()->epochs();
+    }
+    std::vector<std::uint64_t> mirrored;
+    for (const std::string& name : DirRemoteStore(remoteDir).listEpochs())
+      mirrored.push_back(std::stoull(name.substr(name.find('_') + 1)));
+    std::sort(mirrored.begin(), mirrored.end());
+    EXPECT_EQ(mirrored, local);
+    // Full: the two newest full epochs. Delta (chain 3, fulls at 0, 4,
+    // 8): full 4 and the chain 8..11.
+    const std::vector<std::uint64_t> kept =
+        delta ? std::vector<std::uint64_t>{4, 8, 9, 10, 11}
+              : std::vector<std::uint64_t>{10, 11};
+    EXPECT_EQ(local, kept);
+  }
+}
+
 TEST(RemoteEngine, InjectedStreamFailuresNeverCorruptOrBlockLocalCommits) {
   const std::string dir = tempDir("tkmc_chaosput_local");
   const std::string remoteDir = tempDir("tkmc_chaosput_remote");

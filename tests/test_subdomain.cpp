@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "parallel/decomposition.hpp"
 
 namespace tkmc {
 namespace {
@@ -70,37 +71,34 @@ TEST(Subdomain, RescanFindsOwnedVacanciesOnly) {
   EXPECT_EQ(sd.vacancies()[0], (Vec3i{4, 4, 4}));
 }
 
-TEST(Subdomain, PackUnpackRoundTrip) {
+// The shard occupation run is species_[0, N) of the Eq.-4 layout: it
+// must equal the owned cells walked x-fastest, 2 sites per cell, on
+// every rank of full and flat grids (ghost-free axes included).
+TEST(Subdomain, OwnedSpeciesIsTheOwnedBoxWalkedXFastest) {
   const BccLattice lat(12, 12, 12, 2.87);
-  const LatticeState global = randomGlobal(lat, 2);
-  Subdomain a(lat, {0, 0, 0}, {6, 6, 6}, 2);
-  a.loadFrom(global);
-  const Vec3i lo{2, 3, 1};
-  const Vec3i hi{5, 6, 4};
-  const auto payload = a.packCellBox(lo, hi);
-  EXPECT_EQ(payload.size(), 3u * 3u * 3u * 2u);
-  // Wipe the box, then restore it from the payload.
-  Subdomain b = a;
-  for (int cz = lo.z; cz < hi.z; ++cz)
-    for (int cy = lo.y; cy < hi.y; ++cy)
-      for (int cx = lo.x; cx < hi.x; ++cx)
-        for (int sub = 0; sub < 2; ++sub)
-          b.set({2 * (cx - 2) + sub, 2 * (cy - 2) + sub, 2 * (cz - 2) + sub},
-                Species::kFe);
-  b.unpackCellBox(lo, hi, payload);
-  for (int cz = -2; cz < 8; ++cz)
-    for (int cy = -2; cy < 8; ++cy)
-      for (int cx = -2; cx < 8; ++cx)
-        for (int sub = 0; sub < 2; ++sub) {
-          const Vec3i p{2 * cx + sub, 2 * cy + sub, 2 * cz + sub};
-          ASSERT_EQ(b.at(p), a.at(p));
-        }
-}
-
-TEST(Subdomain, UnpackRejectsWrongSize) {
-  const BccLattice lat(12, 12, 12, 2.87);
-  Subdomain sd(lat, {0, 0, 0}, {6, 6, 6}, 2);
-  EXPECT_THROW(sd.unpackCellBox({0, 0, 0}, {2, 2, 2}, {1, 2, 3}), Error);
+  const LatticeState global = randomGlobal(lat, 3);
+  for (const Vec3i grid : {Vec3i{2, 2, 2}, Vec3i{2, 2, 1}, Vec3i{1, 2, 2}}) {
+    SCOPED_TRACE("grid " + std::to_string(grid.x) + "x" +
+                 std::to_string(grid.y) + "x" + std::to_string(grid.z));
+    const Decomposition decomp({12, 12, 12}, grid);
+    const Vec3i e = decomp.extentCells();
+    const Vec3i ghost{grid.x > 1 ? 2 : 0, grid.y > 1 ? 2 : 0,
+                      grid.z > 1 ? 2 : 0};
+    for (int r = 0; r < decomp.rankCount(); ++r) {
+      const Vec3i o = decomp.originCells(r);
+      Subdomain sd(lat, o, e, ghost);
+      sd.loadFrom(global);
+      std::vector<std::uint8_t> walked;
+      for (int cz = 0; cz < e.z; ++cz)
+        for (int cy = 0; cy < e.y; ++cy)
+          for (int cx = 0; cx < e.x; ++cx)
+            for (int sub = 0; sub < 2; ++sub)
+              walked.push_back(static_cast<std::uint8_t>(
+                  sd.at({2 * (o.x + cx) + sub, 2 * (o.y + cy) + sub,
+                         2 * (o.z + cz) + sub})));
+      EXPECT_EQ(sd.ownedSpecies(), walked) << "rank " << r;
+    }
+  }
 }
 
 TEST(Subdomain, OversizedExtendedFrameIsRejected) {
